@@ -326,11 +326,11 @@ fn main() {
         series.append(&mut t);
     }
     if let Some(path) = trace_path {
-        sg_bench::write_trace(&path, &shards);
+        sg_bench::exit_on_error(sg_bench::write_trace(&path, &shards));
     }
     if let Some(path) = series_path {
         let sections: Vec<(String, &SeriesSnapshot)> =
             series.iter().map(|(c, s)| (c.clone(), s)).collect();
-        sg_bench::write_series(&path, opts.series_window, &sections);
+        sg_bench::exit_on_error(sg_bench::write_series(&path, opts.series_window, &sections));
     }
 }

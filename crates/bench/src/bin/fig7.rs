@@ -245,7 +245,7 @@ fn main() {
     if let Some(path) = trace_path {
         // One shard per (variant, repetition), in task order.
         let shards: Vec<_> = results.iter().filter_map(|r| r.trace.clone()).collect();
-        sg_bench::write_trace(&path, &shards);
+        sg_bench::exit_on_error(sg_bench::write_trace(&path, &shards));
     }
 
     if let Some(path) = series_path {
@@ -253,7 +253,7 @@ fn main() {
             .iter()
             .map(|r| (variant_label(r.variant), &r.telemetry))
             .collect();
-        sg_bench::write_series(&path, series_window.0, &sections);
+        sg_bench::exit_on_error(sg_bench::write_series(&path, series_window.0, &sections));
     }
 
     if let Some(path) = bench_json {

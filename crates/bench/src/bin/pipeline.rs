@@ -302,7 +302,7 @@ fn main() {
     if let Some(path) = trace_path {
         let mut shards: Vec<_> = results.iter().filter_map(|r| r.trace.clone()).collect();
         shards.extend(camp.trace.iter().cloned());
-        sg_bench::write_trace(&path, &shards);
+        sg_bench::exit_on_error(sg_bench::write_trace(&path, &shards));
     }
 
     if let Some(path) = series_path {
@@ -311,7 +311,7 @@ fn main() {
             .map(|r| (variant_label(r.variant), &r.telemetry))
             .collect();
         sections.push(("pipeline/campaign".to_owned(), &camp.series));
-        sg_bench::write_series(&path, series_window.0, &sections);
+        sg_bench::exit_on_error(sg_bench::write_series(&path, series_window.0, &sections));
     }
 
     if let Some(path) = bench_json {

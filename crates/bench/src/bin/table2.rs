@@ -200,7 +200,7 @@ fn main() {
             .iter()
             .flat_map(|r| r.trace.iter().cloned())
             .collect();
-        sg_bench::write_trace(&path, &shards);
+        sg_bench::exit_on_error(sg_bench::write_trace(&path, &shards));
     }
 
     if let Some(path) = series_path {
@@ -210,7 +210,11 @@ fn main() {
             .zip(&results)
             .map(|(iface, r)| (format!("table2/{iface}/{variant}"), &r.series))
             .collect();
-        sg_bench::write_series(&path, cfg.series_window_ns, &sections);
+        sg_bench::exit_on_error(sg_bench::write_series(
+            &path,
+            cfg.series_window_ns,
+            &sections,
+        ));
     }
 }
 
@@ -317,7 +321,7 @@ fn run_correlated(
             .iter()
             .flat_map(|(_, _, r)| r.trace.iter().cloned())
             .collect();
-        sg_bench::write_trace(&path, &shards);
+        sg_bench::exit_on_error(sg_bench::write_trace(&path, &shards));
     }
 
     if let Some(path) = series_path {
@@ -331,6 +335,10 @@ fn run_correlated(
                 )
             })
             .collect();
-        sg_bench::write_series(&path, cfg.series_window_ns, &sections);
+        sg_bench::exit_on_error(sg_bench::write_series(
+            &path,
+            cfg.series_window_ns,
+            &sections,
+        ));
     }
 }
