@@ -128,8 +128,8 @@ pub fn web_cost_model(variant: WebVariant) -> CostModel {
         WebVariant::Apache | WebVariant::Composite => SimTime::ZERO,
         // SuperGlue's generic, table-driven stubs cost slightly more per
         // call than C³'s specialized hand-written ones — the 10.5% vs
-        // 11.84% gap of Fig 7 (also measured for real in the fig6a
-        // Criterion bench).
+        // 11.84% gap of Fig 7 (also measured for real by the fig6
+        // harness).
         WebVariant::C3 { .. } => SimTime(1_000),
         WebVariant::SuperGlue { .. } => SimTime(1_130),
     };
