@@ -670,7 +670,7 @@ fn cmd_verify(path: &str) -> Result<ExitCode, String> {
     let compiled = superglue::compile_all().map_err(|e| format!("shipped IDL: {e}"))?;
     let mut plans: BTreeMap<String, Vec<Vec<String>>> = compiled
         .iter()
-        .map(|(iface, c)| (iface.to_owned(), plans_for(&c.stub_spec)))
+        .map(|(&iface, c)| (iface.to_owned(), plans_for(&c.stub_spec)))
         .collect();
     // The pipeline macro-benchmark's two channel components both speak
     // the chan interface under their own kernel component names.

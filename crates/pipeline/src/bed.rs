@@ -286,7 +286,7 @@ pub fn build_pipeline(variant: PipelineVariant, cfg: &PipelineConfig) -> Pipelin
             faults
         }
         PipelineVariant::SuperGlue { faults } => {
-            let spec = std::sync::Arc::new(compile_chan().stub_spec.clone());
+            let spec = &compile_chan().stub_spec;
             for (client, server) in [
                 (gen, chan_ab),
                 (work, chan_ab),

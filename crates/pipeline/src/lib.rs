@@ -36,17 +36,22 @@ pub const CHAN_B: i64 = 1;
 /// The channel interface's SuperGlue IDL source (`idl/chan.sg`).
 pub const CHAN_IDL: &str = include_str!("../../../idl/chan.sg");
 
-/// Compile the channel interface to its stub spec and artifacts.
+/// Compile the channel interface to its stub spec and artifacts. The
+/// first call compiles; every later call, from any thread, returns the
+/// same compilation.
 ///
 /// # Panics
 ///
 /// If the shipped `chan.sg` fails to compile — a build-breaking bug, not
 /// a runtime condition (the lint suite and CI gate the spec).
 #[must_use]
-pub fn compile_chan() -> superglue_compiler::Compilation {
-    let spec =
-        superglue_idl::compile_interface("chan", CHAN_IDL).expect("shipped chan.sg must be valid");
-    superglue_compiler::compile(&spec)
+pub fn compile_chan() -> &'static superglue_compiler::Compilation {
+    static CHAN: std::sync::OnceLock<superglue_compiler::Compilation> = std::sync::OnceLock::new();
+    CHAN.get_or_init(|| {
+        let spec = superglue_idl::compile_interface("chan", CHAN_IDL)
+            .expect("shipped chan.sg must be valid");
+        superglue_compiler::compile(&spec)
+    })
 }
 
 #[cfg(test)]

@@ -54,13 +54,16 @@ pub use elide::{ElisionFacts, FnElision};
 pub use ir::{ArgSource, CompiledFn, CompiledStubSpec, RestoreArg, RetvalSpec};
 pub use predicates::ModelPredicates;
 
+use std::sync::Arc;
+
 use superglue_idl::InterfaceSpec;
 
 /// Everything the compiler produces for one interface.
 #[derive(Debug, Clone)]
 pub struct Compilation {
-    /// The runtime-interpretable stub specification.
-    pub stub_spec: CompiledStubSpec,
+    /// The runtime-interpretable stub specification. Immutable once
+    /// compiled: every stub interpreting it shares this one allocation.
+    pub stub_spec: Arc<CompiledStubSpec>,
     /// Generated client-stub source text.
     pub client_source: String,
     /// Generated server-stub source text.
@@ -109,7 +112,7 @@ pub fn compile(spec: &InterfaceSpec) -> Compilation {
     let elision_cert = (!stub_spec.elide_requests.is_empty())
         .then(|| ElisionFacts::certify(&stub_spec).to_json(&stub_spec.meta_names));
     Compilation {
-        stub_spec,
+        stub_spec: Arc::new(stub_spec),
         client_source,
         server_source,
         templates_used,
@@ -131,8 +134,8 @@ pub fn compile(spec: &InterfaceSpec) -> Compilation {
 /// that cannot be proven (see [`ElisionFacts::apply`]).
 pub fn compile_elided(spec: &InterfaceSpec) -> Result<Compilation, String> {
     let mut out = compile(spec);
-    let facts = ElisionFacts::certify(&out.stub_spec);
-    facts.apply(&mut out.stub_spec)?;
+    let stub = Arc::get_mut(&mut out.stub_spec).expect("a fresh compilation is unshared");
+    ElisionFacts::certify(stub).apply(stub)?;
     Ok(out)
 }
 

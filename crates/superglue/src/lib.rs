@@ -41,6 +41,6 @@ pub mod sources;
 pub mod stub;
 pub mod testbed;
 
-pub use sources::{compile_all, idl_sources, CompiledInterfaces};
+pub use sources::{compile_all, idl_sources};
 pub use stub::CompiledStub;
 pub use testbed::{Testbed, Variant};

@@ -4,11 +4,13 @@
 //! replacement for the hand-written C³ stub code — the artifact Fig 6(c)
 //! measures. They are embedded here so every consumer (runtime, fault
 //! campaign, benches, examples) compiles the identical specifications.
+//! Because the sources are constants, each compilation runs once per
+//! process and every later call shares its result.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::OnceLock;
 
-use superglue_compiler::{compile, Compilation};
+use superglue_compiler::{compile, compile_elided, Compilation};
 use superglue_idl::IdlError;
 
 /// The six (interface name, IDL source) pairs, in the paper's Table II
@@ -25,74 +27,59 @@ pub fn idl_sources() -> [(&'static str, &'static str); 6] {
     ]
 }
 
-/// All six interfaces compiled: specs, stub specs, generated sources.
-#[derive(Debug, Clone)]
-pub struct CompiledInterfaces {
-    compilations: BTreeMap<&'static str, Arc<Compilation>>,
-}
+type Compiled = Result<BTreeMap<&'static str, Compilation>, IdlError>;
 
-impl CompiledInterfaces {
-    /// The compilation for one interface.
-    #[must_use]
-    pub fn get(&self, iface: &str) -> Option<&Arc<Compilation>> {
-        self.compilations.get(iface)
-    }
-
-    /// Iterate over (interface, compilation) in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &Arc<Compilation>)> {
-        self.compilations.iter().map(|(&k, v)| (k, v))
-    }
-
-    /// Number of compiled interfaces.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.compilations.len()
-    }
-
-    /// Whether no interfaces were compiled.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.compilations.is_empty()
-    }
-}
-
-/// Parse, validate and compile all six shipped IDL files.
+/// Parse, validate and compile all six shipped IDL files: specs, stub
+/// specs, generated sources, keyed by interface name. The first call
+/// compiles; every later call, from any thread, returns the same map.
 ///
 /// # Errors
 ///
 /// The first [`IdlError`] across the files, tagged with the file name in
 /// the message path.
-pub fn compile_all() -> Result<CompiledInterfaces, IdlError> {
-    let mut compilations = BTreeMap::new();
-    for (name, src) in idl_sources() {
-        let spec = superglue_idl::compile_interface(name, src)?;
-        compilations.insert(name, Arc::new(compile(&spec)));
-    }
-    Ok(CompiledInterfaces { compilations })
+pub fn compile_all() -> Result<&'static BTreeMap<&'static str, Compilation>, IdlError> {
+    static TRACKED: OnceLock<Compiled> = OnceLock::new();
+    TRACKED
+        .get_or_init(|| compile_each(false))
+        .as_ref()
+        .map_err(Clone::clone)
 }
 
 /// [`compile_all`] with every certified tracking elision applied to the
 /// runtime stub specs (`--elide` mode): σ-constant fast paths, dead
 /// harvest/store suppression and the pending/affinity/translation probe
 /// skips, each backed by an SG060–SG065 proof. Generated sources and
-/// certificates are identical to [`compile_all`]'s.
+/// certificates are identical to [`compile_all`]'s; the stub specs are
+/// separate allocations.
 ///
 /// # Errors
 ///
 /// The first [`IdlError`] across the files; an unprovable `sm_elide`
 /// request surfaces as a semantic error (the linter reports it as
 /// SG060–SG065 with spans).
-pub fn compile_all_elided() -> Result<CompiledInterfaces, IdlError> {
-    let mut compilations = BTreeMap::new();
-    for (name, src) in idl_sources() {
-        let spec = superglue_idl::compile_interface(name, src)?;
-        let c =
-            superglue_compiler::compile_elided(&spec).map_err(|message| IdlError::Semantic {
-                message: format!("{name}: {message}"),
-            })?;
-        compilations.insert(name, Arc::new(c));
-    }
-    Ok(CompiledInterfaces { compilations })
+pub fn compile_all_elided() -> Result<&'static BTreeMap<&'static str, Compilation>, IdlError> {
+    static ELIDED: OnceLock<Compiled> = OnceLock::new();
+    ELIDED
+        .get_or_init(|| compile_each(true))
+        .as_ref()
+        .map_err(Clone::clone)
+}
+
+fn compile_each(elide: bool) -> Compiled {
+    idl_sources()
+        .into_iter()
+        .map(|(name, src)| {
+            let spec = superglue_idl::compile_interface(name, src)?;
+            let c = if elide {
+                compile_elided(&spec).map_err(|message| IdlError::Semantic {
+                    message: format!("{name}: {message}"),
+                })?
+            } else {
+                compile(&spec)
+            };
+            Ok((name, c))
+        })
+        .collect()
 }
 
 #[cfg(test)]

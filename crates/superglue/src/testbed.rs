@@ -20,7 +20,7 @@ use sg_services::storage::StorageService;
 use sg_services::timer::TimerService;
 use superglue_idl::IdlError;
 
-use crate::sources::compile_all;
+use crate::sources::{compile_all, compile_all_elided};
 use crate::stub::CompiledStub;
 
 /// Which fault-tolerance layer protects the system services.
@@ -32,6 +32,19 @@ pub enum Variant {
     C3,
     /// SuperGlue compiler-generated stubs.
     SuperGlue,
+}
+
+impl Variant {
+    /// The lower-case label artifacts carry: `bare`, `c3` or
+    /// `superglue`.
+    #[must_use]
+    pub fn slug(self) -> &'static str {
+        match self {
+            Variant::Bare => "bare",
+            Variant::C3 => "c3",
+            Variant::SuperGlue => "superglue",
+        }
+    }
 }
 
 impl std::fmt::Display for Variant {
@@ -104,11 +117,7 @@ impl Testbed {
     /// [`IdlError`] if the shipped IDL fails to compile (SuperGlue
     /// variant only).
     pub fn build(variant: Variant) -> Result<Self, IdlError> {
-        Self::build_with(
-            variant,
-            CostModel::paper_defaults(),
-            RecoveryPolicy::OnDemand,
-        )
+        Self::build_elided(variant, false)
     }
 
     /// Build with explicit cost model and recovery policy.
@@ -122,7 +131,7 @@ impl Testbed {
         costs: CostModel,
         policy: RecoveryPolicy,
     ) -> Result<Self, IdlError> {
-        Self::build_with_elide(variant, costs, policy, false)
+        Self::assemble(variant, costs, policy, false)
     }
 
     /// [`Testbed::build`] with certified tracking elision toggled: when
@@ -137,7 +146,7 @@ impl Testbed {
     /// [`IdlError`] if the shipped IDL fails to compile or an
     /// `sm_elide` request cannot be proven (SuperGlue variant only).
     pub fn build_elided(variant: Variant, elide: bool) -> Result<Self, IdlError> {
-        Self::build_with_elide(
+        Self::assemble(
             variant,
             CostModel::paper_defaults(),
             RecoveryPolicy::OnDemand,
@@ -145,14 +154,10 @@ impl Testbed {
         )
     }
 
-    /// Build with explicit cost model, recovery policy and elision
-    /// toggle (see [`Testbed::build_elided`]).
-    ///
-    /// # Errors
-    ///
-    /// [`IdlError`] if the shipped IDL fails to compile (SuperGlue
-    /// variant only).
-    pub fn build_with_elide(
+    /// The one constructor behind the public builds. SuperGlue stubs
+    /// share the process-wide compiled specs, so no build after the
+    /// process's first does IDL work or copies a spec.
+    fn assemble(
         variant: Variant,
         costs: CostModel,
         policy: RecoveryPolicy,
@@ -214,7 +219,7 @@ impl Testbed {
             }
             Variant::SuperGlue => {
                 let compiled = if elide {
-                    crate::sources::compile_all_elided()?
+                    compile_all_elided()?
                 } else {
                     compile_all()?
                 };
@@ -227,16 +232,8 @@ impl Testbed {
                         ("evt", evt),
                         ("tmr", tmr),
                     ] {
-                        let spec = compiled
-                            .get(iface)
-                            .expect("all six interfaces compiled")
-                            .stub_spec
-                            .clone();
-                        runtime.install_stub(
-                            app,
-                            svc,
-                            Box::new(CompiledStub::new(std::sync::Arc::new(spec))),
-                        );
+                        let spec = std::sync::Arc::clone(&compiled[iface].stub_spec);
+                        runtime.install_stub(app, svc, Box::new(CompiledStub::new(spec)));
                     }
                 }
             }

@@ -95,12 +95,7 @@ fn global_recovery_without_storage_fails_gracefully() {
     let evt = k.add_component("evt", Box::new(sg_services::event::EventService::new()));
     let t1 = k.create_thread(app1, Priority(5));
     let t2 = k.create_thread(app2, Priority(5));
-    let spec = superglue::compile_all()
-        .unwrap()
-        .get("evt")
-        .unwrap()
-        .stub_spec
-        .clone();
+    let spec = &superglue::compile_all().unwrap()["evt"].stub_spec;
     let mut rt = FtRuntime::new(
         k,
         RuntimeConfig {
@@ -108,12 +103,8 @@ fn global_recovery_without_storage_fails_gracefully() {
             ..RuntimeConfig::default()
         },
     );
-    rt.install_stub(
-        app1,
-        evt,
-        Box::new(CompiledStub::new(Arc::new(spec.clone()))),
-    );
-    rt.install_stub(app2, evt, Box::new(CompiledStub::new(Arc::new(spec))));
+    rt.install_stub(app1, evt, Box::new(CompiledStub::new(Arc::clone(spec))));
+    rt.install_stub(app2, evt, Box::new(CompiledStub::new(Arc::clone(spec))));
 
     let id = rt
         .interface_call(
@@ -214,12 +205,7 @@ fn retry_budget_bounds_repeated_faulting() {
     let app = k.add_client_component("app");
     let svc = k.add_component("lock", Box::new(Refaulter { me: ComponentId(2) }));
     let t = k.create_thread(app, Priority(5));
-    let spec = superglue::compile_all()
-        .unwrap()
-        .get("lock")
-        .unwrap()
-        .stub_spec
-        .clone();
+    let spec = Arc::clone(&superglue::compile_all().unwrap()["lock"].stub_spec);
     let mut rt = FtRuntime::new(
         k,
         RuntimeConfig {
@@ -227,7 +213,7 @@ fn retry_budget_bounds_repeated_faulting() {
             ..RuntimeConfig::default()
         },
     );
-    rt.install_stub(app, svc, Box::new(CompiledStub::new(Arc::new(spec))));
+    rt.install_stub(app, svc, Box::new(CompiledStub::new(spec)));
     let err = rt
         .interface_call(app, t, svc, "lock_alloc", &[Value::Int(1)])
         .unwrap_err();

@@ -3,8 +3,6 @@
 //! description, compile it, install the generated stub, and get
 //! transparent recovery — the adoption story of §IV.
 
-use std::sync::Arc;
-
 use composite::{
     CostModel, InterfaceCall as _, Kernel, Priority, Service, ServiceCtx, ServiceError, Value,
 };
@@ -97,11 +95,7 @@ fn build() -> (
     let spec = superglue_idl::compile_interface("reg", REG_IDL).expect("idl compiles");
     let compiled = superglue_compiler::compile(&spec);
     let mut rt = FtRuntime::new(k, RuntimeConfig::default());
-    rt.install_stub(
-        app,
-        reg,
-        Box::new(CompiledStub::new(Arc::new(compiled.stub_spec))),
-    );
+    rt.install_stub(app, reg, Box::new(CompiledStub::new(compiled.stub_spec)));
     (rt, app, reg, t)
 }
 
