@@ -386,6 +386,11 @@ impl<'s> Interp<'s> {
                     self.recycle(cd);
                 }
             }
+            // Hand the emptied stack back, so the recycled carcass keeps
+            // its child-list capacity and the next child push reuses it.
+            if let Some(d) = self.descs.get_mut(desc_id) {
+                d.children = stack;
+            }
         }
         let remove =
             model.close_removes_tracking || model.close_children || !model.parent.has_parent();
