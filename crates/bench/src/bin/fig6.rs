@@ -216,7 +216,7 @@ fn write_bench_json(path: &str, rows: &[Fig6aRow]) {
         arr.push(o);
     }
     doc.push("rows", arr);
-    std::fs::write(path, doc.to_pretty()).expect("write bench json");
+    sg_bench::exit_on_error(sg_bench::write_artifact(path, &doc.to_pretty()));
     println!("bench json written to {path}");
 }
 
@@ -281,13 +281,16 @@ fn main() {
         );
         if let Some(dir) = &emit_dir {
             let c = compiled.get(iface).expect("compiled");
-            superglue_compiler::emit::write_to_dir(
+            let written = superglue_compiler::emit::write_to_dir(
                 std::path::Path::new(dir),
                 iface,
                 &c.client_source,
                 &c.server_source,
-            )
-            .expect("write generated stubs");
+            );
+            if let Err(e) = written {
+                eprintln!("error: cannot write {dir}: {e}");
+                std::process::exit(2);
+            }
         }
     }
     if let Some(dir) = &emit_dir {

@@ -229,7 +229,10 @@ fn main() {
                 j
             })
             .collect();
-        std::fs::write(&path, Json::Array(out).to_pretty()).expect("write json");
+        sg_bench::exit_on_error(sg_bench::write_artifact(
+            &path,
+            &Json::Array(out).to_pretty(),
+        ));
         println!("rows written to {path}");
     }
 
@@ -238,7 +241,7 @@ fn main() {
         for r in &rows {
             out.push_str(&r.metrics.to_json_lines(&variant_label(r.variant)));
         }
-        std::fs::write(&path, out).expect("write metrics");
+        sg_bench::exit_on_error(sg_bench::write_artifact(&path, &out));
         println!("metrics written to {path}");
     }
 
@@ -295,6 +298,6 @@ fn write_bench_json(path: &str, cfg: &Fig7Config, rows: &[Row], slowdown: impl F
         arr.push(o);
     }
     doc.push("rows", arr);
-    std::fs::write(path, doc.to_pretty()).expect("write bench json");
+    sg_bench::exit_on_error(sg_bench::write_artifact(path, &doc.to_pretty()));
     println!("bench json written to {path}");
 }

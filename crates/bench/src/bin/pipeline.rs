@@ -285,7 +285,10 @@ fn main() {
                 j
             })
             .collect();
-        std::fs::write(&path, Json::Array(out).to_pretty()).expect("write json");
+        sg_bench::exit_on_error(sg_bench::write_artifact(
+            &path,
+            &Json::Array(out).to_pretty(),
+        ));
         println!("rows written to {path}");
     }
 
@@ -295,7 +298,7 @@ fn main() {
             out.push_str(&r.metrics.to_json_lines(&variant_label(r.variant)));
         }
         out.push_str(&camp.metrics.to_json_lines("pipeline/campaign"));
-        std::fs::write(&path, out).expect("write metrics");
+        sg_bench::exit_on_error(sg_bench::write_artifact(&path, &out));
         println!("metrics written to {path}");
     }
 
@@ -351,7 +354,7 @@ fn main() {
         c.push("reboots", camp.showstopper.reboots);
         c.push("reboot_cap", camp.showstopper.reboot_cap);
         doc.push("campaign", c);
-        std::fs::write(&path, doc.to_pretty()).expect("write bench json");
+        sg_bench::exit_on_error(sg_bench::write_artifact(&path, &doc.to_pretty()));
         println!("bench json written to {path}");
     }
 }

@@ -174,24 +174,23 @@ fn main() {
                 j
             })
             .collect();
-        std::fs::write(&path, Json::Array(rows).to_pretty()).expect("write json");
+        sg_bench::exit_on_error(sg_bench::write_artifact(
+            &path,
+            &Json::Array(rows).to_pretty(),
+        ));
         println!("rows written to {path}");
     }
 
     if let Some(path) = metrics_path {
         let mut out = String::new();
+        let variant = cfg.variant.slug();
         for (iface, r) in IFACES.iter().zip(&results) {
-            let variant = match cfg.variant {
-                Variant::SuperGlue => "superglue",
-                Variant::C3 => "c3",
-                Variant::Bare => "bare",
-            };
             out.push_str(
                 &r.metrics
                     .to_json_lines(&format!("table2/{iface}/{variant}")),
             );
         }
-        std::fs::write(&path, out).expect("write metrics");
+        sg_bench::exit_on_error(sg_bench::write_artifact(&path, &out));
         println!("metrics written to {path}");
     }
 
@@ -204,7 +203,7 @@ fn main() {
     }
 
     if let Some(path) = series_path {
-        let variant = variant_slug(cfg.variant);
+        let variant = cfg.variant.slug();
         let sections: Vec<(String, &composite::SeriesSnapshot)> = IFACES
             .iter()
             .zip(&results)
@@ -215,14 +214,6 @@ fn main() {
             cfg.series_window_ns,
             &sections,
         ));
-    }
-}
-
-fn variant_slug(v: Variant) -> &'static str {
-    match v {
-        Variant::SuperGlue => "superglue",
-        Variant::C3 => "c3",
-        Variant::Bare => "bare",
     }
 }
 
@@ -295,16 +286,15 @@ fn run_correlated(
                 j
             })
             .collect();
-        std::fs::write(&path, Json::Array(rows).to_pretty()).expect("write json");
+        sg_bench::exit_on_error(sg_bench::write_artifact(
+            &path,
+            &Json::Array(rows).to_pretty(),
+        ));
         println!("rows written to {path}");
     }
 
     if let Some(path) = metrics_path {
-        let variant = match cfg.variant {
-            Variant::SuperGlue => "superglue",
-            Variant::C3 => "c3",
-            Variant::Bare => "bare",
-        };
+        let variant = cfg.variant.slug();
         let mut out = String::new();
         for (mode_i, iface, r) in &results {
             out.push_str(
@@ -312,7 +302,7 @@ fn run_correlated(
                     .to_json_lines(&format!("table2b/{}/{iface}/{variant}", MODES[*mode_i].0)),
             );
         }
-        std::fs::write(&path, out).expect("write metrics");
+        sg_bench::exit_on_error(sg_bench::write_artifact(&path, &out));
         println!("metrics written to {path}");
     }
 
@@ -325,7 +315,7 @@ fn run_correlated(
     }
 
     if let Some(path) = series_path {
-        let variant = variant_slug(cfg.variant);
+        let variant = cfg.variant.slug();
         let sections: Vec<(String, &composite::SeriesSnapshot)> = results
             .iter()
             .map(|(mode_i, iface, r)| {

@@ -514,6 +514,19 @@ pub fn write_trace(path: &str, shards: &[composite::TraceShard]) -> io::Result<(
     Ok(())
 }
 
+/// Write one artifact to `path` atomically: it is staged under a
+/// temporary name beside `path` and renamed into place, so a failed
+/// write leaves no file behind.
+///
+/// # Errors
+///
+/// The file cannot be written; the message names the path.
+pub fn write_artifact(path: &str, contents: &str) -> io::Result<()> {
+    let mut staged = Staged::default();
+    staged.write(Path::new(path), contents)?;
+    staged.commit()
+}
+
 /// End a harness whose artifact write failed: the error goes to stderr
 /// and the exit status is 2, the harnesses' typed-failure status.
 pub fn exit_on_error(result: io::Result<()>) {
@@ -563,9 +576,7 @@ pub fn write_series(
     window_ns: u64,
     sections: &[(String, &composite::SeriesSnapshot)],
 ) -> io::Result<()> {
-    let mut staged = Staged::default();
-    staged.write(Path::new(path), &series_to_jsonl(window_ns, sections))?;
-    staged.commit()?;
+    write_artifact(path, &series_to_jsonl(window_ns, sections))?;
     println!("series written to {path}");
     Ok(())
 }
@@ -635,8 +646,10 @@ mod tests {
         let dir = fresh_dir("write-ok");
         let trace = dir.join("t.jsonl");
         let series = dir.join("s.jsonl");
+        let rows = dir.join("r.json");
         write_trace(trace.to_str().expect("utf-8"), &shards()).expect("writable");
         write_series(series.to_str().expect("utf-8"), 7, &[]).expect("writable");
+        write_artifact(rows.to_str().expect("utf-8"), "[]\n").expect("writable");
         let read = |p: &Path| std::fs::read_to_string(p).expect("artifact exists");
         assert_eq!(read(&trace), composite::shards_to_jsonl(&shards()));
         assert_eq!(
@@ -644,7 +657,11 @@ mod tests {
             composite::shards_to_chrome(&shards())
         );
         assert_eq!(read(&series), series_to_jsonl(7, &[]));
-        assert_eq!(entries(&dir), ["s.jsonl", "t.jsonl", "t.jsonl.chrome.json"]);
+        assert_eq!(read(&rows), "[]\n");
+        assert_eq!(
+            entries(&dir),
+            ["r.json", "s.jsonl", "t.jsonl", "t.jsonl.chrome.json"]
+        );
         std::fs::remove_dir_all(&dir).expect("clean up");
     }
 
@@ -656,6 +673,7 @@ mod tests {
         let err = write_trace(missing, &shards()).expect_err("directory is missing");
         assert!(err.to_string().contains(missing), "{err}");
         assert!(write_series(missing, 7, &[]).is_err());
+        assert!(write_artifact(missing, "{}").is_err());
         assert!(entries(&dir).is_empty());
 
         // The Chrome file cannot replace a directory, so the JSON-lines

@@ -508,11 +508,7 @@ pub fn run_shard(iface: &'static str, cfg: &CampaignConfig, shard: usize) -> Cam
     let mut row = CampaignRow::new(row_label(iface));
     let mut metrics = MetricsSnapshot::default();
     let mut series = SeriesSnapshot::default();
-    let vname = match cfg.variant {
-        Variant::SuperGlue => "superglue",
-        Variant::C3 => "c3",
-        Variant::Bare => "bare",
-    };
+    let vname = cfg.variant.slug();
     let mut trace = TraceShard::labeled(&format!("table2/{iface}/{vname}/shard{shard}"));
     let mut injector =
         Injector::with_mask(mix(cfg.seed ^ fxhash(iface), shard as u64), cfg.fault_mask);

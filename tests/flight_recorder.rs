@@ -603,20 +603,34 @@ fn absorb_handles_empty_shards() {
     assert_eq!((e.dropped, e.dropped_recovery), (6, 2));
 }
 
-/// A finished harness run whose `--trace` path cannot be written reports
-/// the path and exits 2 instead of panicking (exit 101).
+/// A finished harness run whose artifact path cannot be written reports
+/// the path and exits 2 instead of panicking (exit 101), and leaves no
+/// file: `--trace`, `--json` and `--metrics` on `table2`, and
+/// `--bench-json` on `fig7`.
 #[test]
 fn unwritable_trace_path_exits_2() {
     let missing = std::env::temp_dir()
         .join(format!("sg-bench-no-such-dir-{}", std::process::id()))
         .join("t.jsonl");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_table2"))
-        .args(["--injections", "1", "--trace"])
-        .arg(&missing)
-        .output()
-        .expect("table2 runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("cannot write"), "{stderr}");
-    assert!(!missing.parent().expect("parent").exists());
+    let table2 = env!("CARGO_BIN_EXE_table2");
+    let fig7 = env!("CARGO_BIN_EXE_fig7");
+    for (bin, args) in [
+        (table2, &["--injections", "1", "--trace"][..]),
+        (table2, &["--injections", "1", "--json"][..]),
+        (table2, &["--injections", "1", "--metrics"][..]),
+        (
+            fig7,
+            &["--seconds", "1", "--repetitions", "1", "--bench-json"][..],
+        ),
+    ] {
+        let out = std::process::Command::new(bin)
+            .args(args)
+            .arg(&missing)
+            .output()
+            .expect("harness runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("cannot write"), "{args:?}: {stderr}");
+        assert!(!missing.parent().expect("parent").exists(), "{args:?}");
+    }
 }
