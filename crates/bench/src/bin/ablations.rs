@@ -22,6 +22,7 @@ use composite::{
     Priority, SeriesSnapshot, SimTime, TraceShard, Value, DEFAULT_SERIES_WINDOW,
     DEFAULT_TRACE_CAPACITY,
 };
+use sg_bench::{Artifacts, HarnessArgs};
 use sg_c3::RecoveryPolicy;
 use superglue::testbed::{Testbed, Variant};
 use superglue_sm::machine::StateMachineBuilder;
@@ -285,35 +286,18 @@ type AblationOutput = (String, Vec<TraceShard>, Vec<(String, SeriesSnapshot)>);
 /// One ablation: takes the capture options, returns its output.
 type Ablation = fn(&AblationOpts) -> AblationOutput;
 
+const USAGE: &str =
+    "usage: ablations [--jobs N] [--trace PATH] [--series PATH] [--series-window NS]";
+
 fn main() {
-    let mut jobs = default_jobs();
-    let mut trace_path: Option<String> = None;
-    let mut series_path: Option<String> = None;
-    let mut series_window = DEFAULT_SERIES_WINDOW.0;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--jobs" => {
-                jobs = args.next().and_then(|v| v.parse().ok()).expect("--jobs N");
-            }
-            "--trace" => trace_path = Some(args.next().expect("--trace PATH")),
-            "--series" => series_path = Some(args.next().expect("--series PATH")),
-            "--series-window" => {
-                series_window = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--series-window NS");
-            }
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
+    let mut args = HarnessArgs::from_env(USAGE);
+    let jobs = args.parsed("--jobs").unwrap_or_else(default_jobs);
+    let mut out =
+        Artifacts::from_args(&mut args, &["--trace", "--series"], DEFAULT_SERIES_WINDOW.0);
+    args.finish([]);
     let opts = AblationOpts {
-        trace: trace_path.is_some(),
-        series_window: if series_path.is_some() {
-            series_window
-        } else {
-            0
-        },
+        trace: out.trace.is_some(),
+        series_window: out.series_window,
     };
     let ablations: [Ablation; 3] = [ablation_policy, ablation_tracker, ablation_g1];
     let mut shards = Vec::new();
@@ -325,12 +309,7 @@ fn main() {
         shards.append(&mut s);
         series.append(&mut t);
     }
-    if let Some(path) = trace_path {
-        sg_bench::exit_on_error(sg_bench::write_trace(&path, &shards));
-    }
-    if let Some(path) = series_path {
-        let sections: Vec<(String, &SeriesSnapshot)> =
-            series.iter().map(|(c, s)| (c.clone(), s)).collect();
-        sg_bench::exit_on_error(sg_bench::write_series(&path, opts.series_window, &sections));
-    }
+    out.trace(shards);
+    out.series(series.iter().map(|(c, s)| (c.clone(), s)));
+    out.commit();
 }

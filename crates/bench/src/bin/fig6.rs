@@ -24,7 +24,13 @@
 //! `--series PATH` dumps windowed recovery telemetry of the same
 //! fault → recover cycles as JSON-lines for `sgstat series`
 //! (`--series-window NS` overrides the 1ms default window).
+//!
+//! `--loc` stops after Fig 6(c); `--emit DIR` writes the twelve
+//! generated stub sources to `DIR/<iface>_{cstub,sstub}.rs.gen`. Every
+//! artifact of a run lands together after the run, before the
+//! `--check-ratio` gate can exit 1, or none does.
 
+use std::path::Path;
 use std::time::Instant;
 
 use composite::json::Json;
@@ -32,11 +38,17 @@ use composite::{
     InterfaceCall as _, KernelAccess as _, SeriesSnapshot, SimTime, TraceShard,
     DEFAULT_SERIES_WINDOW, DEFAULT_TRACE_CAPACITY,
 };
-use sg_bench::{handwritten_loc, rig_elided, rustc_version, Rig, C3_STUB_SOURCES, SERVICES};
+use sg_bench::{
+    handwritten_loc, rig_elided, rustc_version, Artifacts, HarnessArgs, Rig, C3_STUB_SOURCES,
+    SERVICES,
+};
 use superglue::testbed::Variant;
 
 const BATCH: u64 = 10_000;
 const REPS: usize = 7;
+
+const USAGE: &str = "usage: fig6 [--loc] [--elide] [--emit DIR] [--bench-json PATH] \
+                     [--check-ratio X] [--trace PATH] [--series PATH] [--series-window NS]";
 
 fn label(iface: &str) -> &'static str {
     match iface {
@@ -184,7 +196,7 @@ impl Fig6aRow {
     }
 }
 
-fn write_bench_json(path: &str, rows: &[Fig6aRow]) {
+fn bench_doc(rows: &[Fig6aRow]) -> Json {
     let mut doc = Json::object();
     doc.push("bench", "fig6a_tracking");
     doc.push("unit", "us_per_iteration");
@@ -216,44 +228,55 @@ fn write_bench_json(path: &str, rows: &[Fig6aRow]) {
         arr.push(o);
     }
     doc.push("rows", arr);
-    sg_bench::exit_on_error(sg_bench::write_artifact(path, &doc.to_pretty()));
-    println!("bench json written to {path}");
+    doc
+}
+
+/// The CI bench-smoke gate: whether every component's SG/C³ overhead
+/// ratio, fully tracked and elided, is within `max`. It covers both
+/// interpreters: the certified-elision fast paths may only improve.
+fn ratio_gate_holds(rows: &[Fig6aRow], max: f64) -> bool {
+    let worst = rows
+        .iter()
+        .max_by(|a, b| a.ratio().total_cmp(&b.ratio()))
+        .expect("rows nonempty");
+    let worst_elided = rows
+        .iter()
+        .max_by(|a, b| a.elided_ratio().total_cmp(&b.elided_ratio()))
+        .expect("rows nonempty");
+    let holds = worst.ratio() <= max && worst_elided.elided_ratio() <= max;
+    let tracked = format!("{:.2} ({})", worst.ratio(), label(worst.iface));
+    let elided = format!(
+        "{:.2} ({})",
+        worst_elided.elided_ratio(),
+        label(worst_elided.iface)
+    );
+    if holds {
+        println!(
+            "check-ratio: worst SG/C3 overhead ratio {tracked}, elided {elided}, within the {max:.2} gate"
+        );
+    } else {
+        eprintln!(
+            "FAIL: SG/C3 overhead ratio {tracked} / elided {elided} exceeds the {max:.2} gate"
+        );
+    }
+    holds
 }
 
 fn main() {
-    let loc_only = std::env::args().any(|a| a == "--loc");
+    let mut args = HarnessArgs::from_env(USAGE);
+    let loc_only = args.flag("--loc");
     // --elide interprets the certified tracking-elision stubs on the
     // Fig 6(b) recovery path and traces; the trace bytes must be
     // identical to a run without the flag.
-    let elide = std::env::args().any(|a| a == "--elide");
-    let (emit_dir, trace_path, bench_json, check_ratio, series_path, series_window) = {
-        let mut args = std::env::args();
-        let mut dir = None;
-        let mut trace = None;
-        let mut bench = None;
-        let mut check = None;
-        let mut series = None;
-        let mut window = DEFAULT_SERIES_WINDOW.0;
-        while let Some(a) = args.next() {
-            if a == "--emit" {
-                dir = args.next();
-            } else if a == "--trace" {
-                trace = args.next();
-            } else if a == "--bench-json" {
-                bench = args.next();
-            } else if a == "--check-ratio" {
-                check = args.next().and_then(|v| v.parse::<f64>().ok());
-            } else if a == "--series" {
-                series = args.next();
-            } else if a == "--series-window" {
-                window = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--series-window NS");
-            }
-        }
-        (dir, trace, bench, check, series, window)
-    };
+    let elide = args.flag("--elide");
+    let emit_dir = args.string("--emit");
+    let check_ratio: Option<f64> = args.parsed_in("--check-ratio", 0.0..);
+    let mut out = Artifacts::from_args(
+        &mut args,
+        &["--trace", "--series", "--bench-json"],
+        DEFAULT_SERIES_WINDOW.0,
+    );
+    args.finish([]);
 
     println!("== Fig 6(c): lines of recovery code per system service ==");
     println!(
@@ -279,28 +302,30 @@ fn main() {
             generated,
             hand
         );
-        if let Some(dir) = &emit_dir {
-            let c = compiled.get(iface).expect("compiled");
-            let written = superglue_compiler::emit::write_to_dir(
-                std::path::Path::new(dir),
-                iface,
-                &c.client_source,
-                &c.server_source,
-            );
-            if let Err(e) = written {
-                eprintln!("error: cannot write {dir}: {e}");
-                std::process::exit(2);
-            }
-        }
     }
     if let Some(dir) = &emit_dir {
-        println!("generated stub sources written to {dir}/");
+        // `<iface>_cstub.rs.gen` / `<iface>_sstub.rs.gen`: the artifacts a
+        // user inspects, mirroring the paper's generated C files.
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("error: cannot write {dir}: {e}");
+            std::process::exit(2);
+        }
+        let stubs = SERVICES.iter().flat_map(|iface| {
+            let c = compiled.get(iface).expect("compiled");
+            let path = |side: &str| Path::new(dir).join(format!("{iface}_{side}stub.rs.gen"));
+            [
+                (path("c"), c.client_source.clone()),
+                (path("s"), c.server_source.clone()),
+            ]
+        });
+        out.stage(stubs, format!("generated stub sources written to {dir}/"));
     }
     println!(
         "average IDL file: {} LOC (paper: 37 LOC, an order of magnitude below the recovery code it replaces)",
         idl_total / SERVICES.len()
     );
     if loc_only {
+        out.commit();
         return;
     }
 
@@ -336,40 +361,8 @@ fn main() {
         );
         rows.push(row);
     }
-    if let Some(path) = &bench_json {
-        write_bench_json(path, &rows);
-    }
-    if let Some(max) = check_ratio {
-        // The gate covers both interpreters: the fully tracked stubs
-        // and the certified-elision fast paths (which may only improve).
-        let worst = rows
-            .iter()
-            .max_by(|a, b| a.ratio().total_cmp(&b.ratio()))
-            .expect("rows nonempty");
-        let worst_elided = rows
-            .iter()
-            .max_by(|a, b| a.elided_ratio().total_cmp(&b.elided_ratio()))
-            .expect("rows nonempty");
-        if worst.ratio() > max || worst_elided.elided_ratio() > max {
-            eprintln!(
-                "FAIL: SG/C3 overhead ratio {:.2} ({}) / elided {:.2} ({}) exceeds the {:.2} gate",
-                worst.ratio(),
-                label(worst.iface),
-                worst_elided.elided_ratio(),
-                label(worst_elided.iface),
-                max
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "check-ratio: worst SG/C3 overhead ratio {:.2} ({}), elided {:.2} ({}), within the {:.2} gate",
-            worst.ratio(),
-            label(worst.iface),
-            worst_elided.elided_ratio(),
-            label(worst_elided.iface),
-            max
-        );
-    }
+    out.bench_json(|| bench_doc(&rows));
+    let gate_holds = check_ratio.is_none_or(|max| ratio_gate_holds(&rows, max));
 
     println!();
     println!("== Fig 6(b): per-descriptor recovery overhead (us, wall clock) ==");
@@ -390,28 +383,22 @@ fn main() {
     println!("note: recovery cost ordering tracks the mechanism count of SIII-C");
     println!("      (Event uses R0+T0+T1+D1+G0+U0; Lock only R0+T0+T1).");
 
-    if trace_path.is_some() || series_path.is_some() {
-        let window = if series_path.is_some() {
-            series_window
-        } else {
-            0
-        };
+    if out.trace.is_some() || out.series.is_some() {
         let mut shards = Vec::new();
         let mut sections = Vec::new();
         for iface in SERVICES {
             for variant in [Variant::C3, Variant::SuperGlue] {
-                let (shard, series) = traced_recovery_capture(variant, iface, elide, window);
+                let (shard, series) =
+                    traced_recovery_capture(variant, iface, elide, out.series_window);
                 sections.push((shard.label.clone(), series));
                 shards.push(shard);
             }
         }
-        if let Some(path) = trace_path {
-            sg_bench::exit_on_error(sg_bench::write_trace(&path, &shards));
-        }
-        if let Some(path) = series_path {
-            let refs: Vec<(String, &SeriesSnapshot)> =
-                sections.iter().map(|(c, s)| (c.clone(), s)).collect();
-            sg_bench::exit_on_error(sg_bench::write_series(&path, window, &refs));
-        }
+        out.trace(shards);
+        out.series(sections.iter().map(|(c, s)| (c.clone(), s)));
+    }
+    out.commit();
+    if !gate_holds {
+        std::process::exit(1);
     }
 }

@@ -34,12 +34,16 @@
 use composite::{
     default_jobs, parallel_map_indexed, Json, MetricsSnapshot, SeriesSnapshot, SimTime,
 };
-use sg_bench::rustc_version;
+use sg_bench::{rustc_version, Artifacts, HarnessArgs};
 use sg_webserver::{run_fig7_rep, Fig7Config, Fig7Result, WebVariant};
 
 /// Default telemetry window: 1 virtual second, matching the per-second
 /// throughput buckets Fig 7 plots.
 const FIG7_SERIES_WINDOW: SimTime = SimTime(1_000_000_000);
+
+const USAGE: &str = "usage: fig7 [--seconds N] [--connections N] [--repetitions N] [--seed S] \
+                     [--jobs N] [--json PATH] [--metrics PATH] [--trace PATH] [--series PATH] \
+                     [--series-window NS] [--bench-json PATH]";
 
 const VARIANTS: [WebVariant; 6] = [
     WebVariant::Apache,
@@ -97,64 +101,25 @@ fn sparkline(buckets: &[u64]) -> String {
 }
 
 fn main() {
+    let mut args = HarnessArgs::from_env(USAGE);
     let mut cfg = Fig7Config::default();
-    let mut json_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut series_path: Option<String> = None;
-    let mut series_window = FIG7_SERIES_WINDOW;
-    let mut bench_json: Option<String> = None;
-    let mut jobs = default_jobs();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seconds" => {
-                let s: u64 = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seconds N");
-                cfg.duration = SimTime::from_secs(s);
-            }
-            "--connections" => {
-                cfg.connections = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--connections N");
-            }
-            "--repetitions" => {
-                cfg.repetitions = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--repetitions N");
-                assert!(cfg.repetitions > 0, "--repetitions must be positive");
-            }
-            "--seed" => {
-                cfg.seed = args.next().and_then(|v| v.parse().ok()).expect("--seed S");
-            }
-            "--jobs" => {
-                jobs = args.next().and_then(|v| v.parse().ok()).expect("--jobs N");
-            }
-            "--json" => json_path = Some(args.next().expect("--json PATH")),
-            "--metrics" => metrics_path = Some(args.next().expect("--metrics PATH")),
-            "--trace" => {
-                trace_path = Some(args.next().expect("--trace PATH"));
-                cfg.trace = true;
-            }
-            "--series" => series_path = Some(args.next().expect("--series PATH")),
-            "--series-window" => {
-                series_window = SimTime(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--series-window NS"),
-                );
-            }
-            "--bench-json" => bench_json = Some(args.next().expect("--bench-json PATH")),
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
-    if series_path.is_some() {
-        cfg.series_window = series_window;
-    }
+    cfg.duration = args
+        .parse_with("--seconds", |v| v.parse().map(SimTime::from_secs))
+        .unwrap_or(cfg.duration);
+    cfg.connections = args.parsed("--connections").unwrap_or(cfg.connections);
+    cfg.repetitions = args
+        .parsed_in("--repetitions", 1..)
+        .unwrap_or(cfg.repetitions);
+    cfg.seed = args.parsed("--seed").unwrap_or(cfg.seed);
+    let jobs = args.parsed("--jobs").unwrap_or_else(default_jobs);
+    let mut out = Artifacts::from_args(
+        &mut args,
+        &["--json", "--metrics", "--trace", "--series", "--bench-json"],
+        FIG7_SERIES_WINDOW.0,
+    );
+    args.finish([]);
+    cfg.trace = out.trace.is_some();
+    cfg.series_window = SimTime(out.series_window);
 
     println!(
         "Fig 7: web-server throughput, {} connections, {}s virtual time, fault period {}, {} rep(s), {jobs} jobs",
@@ -210,58 +175,33 @@ fn main() {
     println!("       (-13.6% with one crash injected every 10s); dips last <2s and never");
     println!("       drop throughput to zero.");
 
-    if let Some(path) = json_path {
-        let out: Vec<Json> = rows
-            .iter()
-            .map(|r| {
-                let mut j = Json::object();
-                j.push("variant", r.variant.to_string())
-                    .push("mean_rps", r.mean_rps)
-                    .push("stdev_rps", r.stdev_rps)
-                    .push("total_requests", r.total_requests)
-                    .push("faults_injected", r.faults_injected)
-                    .push("unrecovered", r.unrecovered)
-                    .push("slowdown_vs_base_pct", slowdown(r))
-                    .push(
-                        "per_second",
-                        Json::Array(r.per_second.iter().map(|&b| Json::from(b)).collect()),
-                    );
-                j
-            })
-            .collect();
-        sg_bench::exit_on_error(sg_bench::write_artifact(
-            &path,
-            &Json::Array(out).to_pretty(),
-        ));
-        println!("rows written to {path}");
-    }
-
-    if let Some(path) = metrics_path {
-        let mut out = String::new();
-        for r in &rows {
-            out.push_str(&r.metrics.to_json_lines(&variant_label(r.variant)));
-        }
-        sg_bench::exit_on_error(sg_bench::write_artifact(&path, &out));
-        println!("metrics written to {path}");
-    }
-
-    if let Some(path) = trace_path {
-        // One shard per (variant, repetition), in task order.
-        let shards: Vec<_> = results.iter().filter_map(|r| r.trace.clone()).collect();
-        sg_bench::exit_on_error(sg_bench::write_trace(&path, &shards));
-    }
-
-    if let Some(path) = series_path {
-        let sections: Vec<(String, &SeriesSnapshot)> = rows
-            .iter()
-            .map(|r| (variant_label(r.variant), &r.telemetry))
-            .collect();
-        sg_bench::exit_on_error(sg_bench::write_series(&path, series_window.0, &sections));
-    }
-
-    if let Some(path) = bench_json {
-        write_bench_json(&path, &cfg, &rows, slowdown);
-    }
+    out.rows(rows.iter().map(|r| {
+        let mut j = Json::object();
+        j.push("variant", r.variant.to_string())
+            .push("mean_rps", r.mean_rps)
+            .push("stdev_rps", r.stdev_rps)
+            .push("total_requests", r.total_requests)
+            .push("faults_injected", r.faults_injected)
+            .push("unrecovered", r.unrecovered)
+            .push("slowdown_vs_base_pct", slowdown(r))
+            .push(
+                "per_second",
+                Json::Array(r.per_second.iter().map(|&b| Json::from(b)).collect()),
+            );
+        j
+    }));
+    out.metrics(
+        rows.iter()
+            .map(|r| r.metrics.to_json_lines(&variant_label(r.variant))),
+    );
+    // One shard per (variant, repetition), in task order.
+    out.trace(results.iter().filter_map(|r| r.trace.clone()));
+    out.series(
+        rows.iter()
+            .map(|r| (variant_label(r.variant), &r.telemetry)),
+    );
+    out.bench_json(|| bench_doc(&cfg, &rows, slowdown));
+    out.commit();
 }
 
 /// The context label a variant's metrics and series rows carry.
@@ -276,7 +216,7 @@ fn variant_label(v: WebVariant) -> String {
 
 /// The Fig 7 counterpart of `fig6 --bench-json`: per-variant throughput
 /// with run metadata, for CI artifacts and regression diffing.
-fn write_bench_json(path: &str, cfg: &Fig7Config, rows: &[Row], slowdown: impl Fn(&Row) -> f64) {
+fn bench_doc(cfg: &Fig7Config, rows: &[Row], slowdown: impl Fn(&Row) -> f64) -> Json {
     let mut doc = Json::object();
     doc.push("bench", "fig7_throughput");
     doc.push("unit", "requests_per_second");
@@ -298,6 +238,5 @@ fn write_bench_json(path: &str, cfg: &Fig7Config, rows: &[Row], slowdown: impl F
         arr.push(o);
     }
     doc.push("rows", arr);
-    sg_bench::exit_on_error(sg_bench::write_artifact(path, &doc.to_pretty()));
-    println!("bench json written to {path}");
+    doc
 }

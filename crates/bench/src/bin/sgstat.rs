@@ -22,15 +22,19 @@
 //!   shipped log₂ histograms).
 //! * `sgstat slo TRACE.jsonl [--max-p99-ns N] [--min-availability X]`
 //!   — gate a trace against an SLO policy; any violation (including a
-//!   failed conservation audit) exits nonzero, so CI can enforce
+//!   failed conservation audit) exits 1, so CI can enforce
 //!   recovery-latency and availability budgets.
+//!
+//! Exit status: 0 clean, 1 a finding, 2 a usage error or an unreadable
+//! or malformed input.
 
 use std::process::ExitCode;
 
 use sg_bench::stat::{
     avail_report, collapsed_stacks, critpath_report, evaluate_slo, openmetrics_from_metrics,
-    parse_series, parse_trace, series_report, Conservation, SloPolicy,
+    parse_series, parse_trace, series_report, us, Conservation, SloPolicy,
 };
+use sg_bench::HarnessArgs;
 
 fn cmd_series(path: &str) -> Result<ExitCode, String> {
     let file = parse_series(path)?;
@@ -72,7 +76,7 @@ fn cmd_slo(path: &str, policy: &SloPolicy) -> Result<ExitCode, String> {
     println!(
         "observed: availability {:.6}%, p99 recovery {:.1}us over {} episode(s)",
         slo.availability * 100.0,
-        slo.p99_ns as f64 / 1000.0,
+        us(slo.p99_ns),
         slo.episodes
     );
     if slo.conservation_skipped {
@@ -96,54 +100,24 @@ const USAGE: &str = "usage: sgstat series SERIES.jsonl \
                      | sgstat export METRICS.jsonl \
                      | sgstat slo TRACE.jsonl [--max-p99-ns N] [--min-availability X]";
 
-fn parse_slo_args(args: &[String]) -> Result<SloPolicy, String> {
-    let mut policy = SloPolicy::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-        match flag.as_str() {
-            "--max-p99-ns" => {
-                policy.max_p99_ns = Some(value.parse().map_err(|e| format!("--max-p99-ns: {e}"))?);
-            }
-            "--min-availability" => {
-                let x: f64 = value
-                    .parse()
-                    .map_err(|e| format!("--min-availability: {e}"))?;
-                if !(0.0..=1.0).contains(&x) {
-                    return Err("--min-availability must be in 0.0..=1.0".to_owned());
-                }
-                policy.min_availability = Some(x);
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    Ok(policy)
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("series") if args.len() == 2 => cmd_series(&args[1]),
-        Some("avail") if args.len() == 2 => cmd_avail(&args[1]),
-        Some("critpath") if args.len() == 2 => cmd_critpath(&args[1], false),
-        Some("critpath") if args.len() == 3 && args[2] == "--collapse" => {
-            cmd_critpath(&args[1], true)
+    let mut args = HarnessArgs::from_env(USAGE);
+    let result = match args.subcommand().as_str() {
+        "series" => cmd_series(&args.finish(["SERIES"])[0]),
+        "avail" => cmd_avail(&args.finish(["TRACE"])[0]),
+        "critpath" => {
+            let collapse = args.flag("--collapse");
+            cmd_critpath(&args.finish(["TRACE"])[0], collapse)
         }
-        Some("export") if args.len() == 2 => cmd_export(&args[1]),
-        Some("slo") if args.len() >= 2 => match parse_slo_args(&args[2..]) {
-            Ok(policy) => cmd_slo(&args[1], &policy),
-            Err(e) => Err(e),
-        },
-        _ => {
-            eprintln!("{USAGE}");
-            return ExitCode::FAILURE;
+        "export" => cmd_export(&args.finish(["METRICS"])[0]),
+        "slo" => {
+            let policy = SloPolicy {
+                max_p99_ns: args.parsed("--max-p99-ns"),
+                min_availability: args.parsed_in("--min-availability", 0.0..=1.0),
+            };
+            cmd_slo(&args.finish(["TRACE"])[0], &policy)
         }
+        other => args.fail(&format!("unknown subcommand {other:?}")),
     };
-    match result {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("sgstat: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    sg_bench::analyzer_exit(result)
 }

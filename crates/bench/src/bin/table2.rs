@@ -35,6 +35,7 @@
 use std::time::Instant;
 
 use composite::{default_jobs, parallel_map_indexed, Json};
+use sg_bench::{Artifacts, HarnessArgs};
 use sg_swifi::{
     merge_shards, run_shard, shard_sizes, CampaignConfig, CampaignMode, CampaignResult,
 };
@@ -49,68 +50,44 @@ const MODES: [(&str, CampaignMode); 3] = [
     ("cascade", CampaignMode::Cascade),
 ];
 
+const USAGE: &str = "usage: table2 [--injections N] [--seed S] [--variant c3|superglue] \
+                     [--mask HEX] [--jobs N] [--correlated] [--elide] [--json PATH] \
+                     [--metrics PATH] [--trace PATH] [--series PATH] [--series-window NS]";
+
 fn main() {
+    let mut args = HarnessArgs::from_env(USAGE);
     let mut cfg = CampaignConfig::default();
-    let mut json_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut series_path: Option<String> = None;
-    let mut series_window = composite::DEFAULT_SERIES_WINDOW.0;
-    let mut jobs = default_jobs();
-    let mut correlated = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--correlated" => correlated = true,
-            // Interpret the certified-elision stubs. Every output byte
-            // (rows, json, metrics, traces) must be identical to a run
-            // without the flag — only proven-dead bookkeeping differs.
-            "--elide" => cfg.elide = true,
-            "--injections" => {
-                cfg.injections = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--injections N");
-            }
-            "--seed" => {
-                cfg.seed = args.next().and_then(|v| v.parse().ok()).expect("--seed S");
-            }
-            "--variant" => match args.next().as_deref() {
-                Some("c3") => cfg.variant = Variant::C3,
-                Some("superglue") => cfg.variant = Variant::SuperGlue,
-                other => panic!("--variant c3|superglue, got {other:?}"),
-            },
-            "--mask" => {
-                let raw = args.next().expect("--mask HEX");
-                cfg.fault_mask = u32::from_str_radix(raw.trim_start_matches("0x"), 16)
-                    .expect("--mask takes a hex fault mask");
-            }
-            "--jobs" => {
-                jobs = args.next().and_then(|v| v.parse().ok()).expect("--jobs N");
-            }
-            "--json" => json_path = Some(args.next().expect("--json PATH")),
-            "--metrics" => metrics_path = Some(args.next().expect("--metrics PATH")),
-            "--trace" => {
-                trace_path = Some(args.next().expect("--trace PATH"));
-                cfg.trace = true;
-            }
-            "--series" => series_path = Some(args.next().expect("--series PATH")),
-            "--series-window" => {
-                series_window = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--series-window NS");
-            }
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
-    if series_path.is_some() {
-        cfg.series_window_ns = series_window;
-    }
+    let correlated = args.flag("--correlated");
+    // Interpret the certified-elision stubs. Every output byte (rows,
+    // json, metrics, traces) must be identical to a run without the
+    // flag — only proven-dead bookkeeping differs.
+    cfg.elide = args.flag("--elide");
+    cfg.injections = args.parsed("--injections").unwrap_or(cfg.injections);
+    cfg.seed = args.parsed("--seed").unwrap_or(cfg.seed);
+    cfg.variant = args
+        .parse_with("--variant", |v| match v {
+            "c3" => Ok(Variant::C3),
+            "superglue" => Ok(Variant::SuperGlue),
+            _ => Err("expected c3 or superglue"),
+        })
+        .unwrap_or(cfg.variant);
+    cfg.fault_mask = args
+        .parse_with("--mask", |v| {
+            u32::from_str_radix(v.trim_start_matches("0x"), 16)
+        })
+        .unwrap_or(cfg.fault_mask);
+    let jobs = args.parsed("--jobs").unwrap_or_else(default_jobs);
+    let mut out = Artifacts::from_args(
+        &mut args,
+        &["--json", "--metrics", "--trace", "--series"],
+        composite::DEFAULT_SERIES_WINDOW.0,
+    );
+    cfg.trace = out.trace.is_some();
+    cfg.series_window_ns = out.series_window;
     if let Err(e) = cfg.validate() {
-        eprintln!("{e}");
-        std::process::exit(2);
+        args.fail(&e.to_string());
     }
+    args.finish([]);
 
     let variant_name = match cfg.variant {
         Variant::SuperGlue => "COMPOSITE+SuperGlue",
@@ -123,19 +100,23 @@ fn main() {
     );
 
     if correlated {
-        run_correlated(&cfg, jobs, json_path, metrics_path, trace_path, series_path);
-        return;
+        run_correlated(&cfg, jobs, &mut out);
+    } else {
+        run_single(&cfg, jobs, &mut out);
     }
+    out.commit();
+}
 
-    // Flatten every (service, shard) pair into one task pool so all
-    // workers stay busy across service boundaries, then merge per
-    // service in shard order — bit-identical for any job count.
+/// The Table II campaign: every (service, shard) pair in one task pool
+/// so all workers stay busy across service boundaries, merged per
+/// service in shard order — bit-identical for any job count.
+fn run_single(cfg: &CampaignConfig, jobs: usize, out: &mut Artifacts) {
     let shards_per_iface = shard_sizes(cfg.injections).len();
     let start = Instant::now();
     let shard_results = parallel_map_indexed(IFACES.len() * shards_per_iface, jobs, |task| {
         run_shard(
             IFACES[task / shards_per_iface],
-            &cfg,
+            cfg,
             task % shards_per_iface,
         )
     });
@@ -157,77 +138,40 @@ fn main() {
     println!("propagation <=0.4%, hangs <=0.8%.");
     println!("wall clock: {:.2}s ({jobs} jobs)", elapsed.as_secs_f64());
 
-    if let Some(path) = json_path {
-        let rows: Vec<Json> = results
-            .iter()
-            .map(|r| {
-                let mut j = Json::object();
-                j.push("component", r.row.component.as_str())
-                    .push("injected", r.row.injected)
-                    .push("recovered", r.row.recovered)
-                    .push("segfault", r.row.segfault)
-                    .push("propagated", r.row.propagated)
-                    .push("other", r.row.other)
-                    .push("undetected", r.row.undetected)
-                    .push("activation_ratio", r.row.activation_ratio())
-                    .push("success_rate", r.row.success_rate());
-                j
-            })
-            .collect();
-        sg_bench::exit_on_error(sg_bench::write_artifact(
-            &path,
-            &Json::Array(rows).to_pretty(),
-        ));
-        println!("rows written to {path}");
-    }
-
-    if let Some(path) = metrics_path {
-        let mut out = String::new();
-        let variant = cfg.variant.slug();
-        for (iface, r) in IFACES.iter().zip(&results) {
-            out.push_str(
-                &r.metrics
-                    .to_json_lines(&format!("table2/{iface}/{variant}")),
-            );
-        }
-        sg_bench::exit_on_error(sg_bench::write_artifact(&path, &out));
-        println!("metrics written to {path}");
-    }
-
-    if let Some(path) = trace_path {
-        let shards: Vec<_> = results
-            .iter()
-            .flat_map(|r| r.trace.iter().cloned())
-            .collect();
-        sg_bench::exit_on_error(sg_bench::write_trace(&path, &shards));
-    }
-
-    if let Some(path) = series_path {
-        let variant = cfg.variant.slug();
-        let sections: Vec<(String, &composite::SeriesSnapshot)> = IFACES
+    out.rows(results.iter().map(|r| {
+        let mut j = Json::object();
+        j.push("component", r.row.component.as_str())
+            .push("injected", r.row.injected)
+            .push("recovered", r.row.recovered)
+            .push("segfault", r.row.segfault)
+            .push("propagated", r.row.propagated)
+            .push("other", r.row.other)
+            .push("undetected", r.row.undetected)
+            .push("activation_ratio", r.row.activation_ratio())
+            .push("success_rate", r.row.success_rate());
+        j
+    }));
+    let variant = cfg.variant.slug();
+    let context = |iface: &str| format!("table2/{iface}/{variant}");
+    out.metrics(
+        IFACES
             .iter()
             .zip(&results)
-            .map(|(iface, r)| (format!("table2/{iface}/{variant}"), &r.series))
-            .collect();
-        sg_bench::exit_on_error(sg_bench::write_series(
-            &path,
-            cfg.series_window_ns,
-            &sections,
-        ));
-    }
+            .map(|(iface, r)| r.metrics.to_json_lines(&context(iface))),
+    );
+    out.trace(results.iter().flat_map(|r| r.trace.iter().cloned()));
+    out.series(
+        IFACES
+            .iter()
+            .zip(&results)
+            .map(|(iface, r)| (context(iface), &r.series)),
+    );
 }
 
 /// The Table II-B campaign: every (mode, service, shard) triple in one
 /// flattened task pool, merged per (mode, service) in shard order —
 /// byte-identical output for any `--jobs` value.
-fn run_correlated(
-    cfg: &CampaignConfig,
-    jobs: usize,
-    json_path: Option<String>,
-    metrics_path: Option<String>,
-    trace_path: Option<String>,
-    series_path: Option<String>,
-) {
+fn run_correlated(cfg: &CampaignConfig, jobs: usize, out: &mut Artifacts) {
     let shards_per_iface = shard_sizes(cfg.injections).len();
     let per_mode = IFACES.len() * shards_per_iface;
     let start = Instant::now();
@@ -266,69 +210,34 @@ fn run_correlated(
     println!();
     println!("wall clock: {:.2}s ({jobs} jobs)", elapsed.as_secs_f64());
 
-    if let Some(path) = json_path {
-        let rows: Vec<Json> = results
+    out.rows(results.iter().map(|(mode_i, _, r)| {
+        let mut j = Json::object();
+        j.push("mode", MODES[*mode_i].0)
+            .push("component", r.row.component.as_str())
+            .push("injected", r.row.injected)
+            .push("recovered", r.row.recovered)
+            .push("segfault", r.row.segfault)
+            .push("propagated", r.row.propagated)
+            .push("other", r.row.other)
+            .push("undetected", r.row.undetected)
+            .push("degraded", r.row.degraded)
+            .push("watchdog_detected", r.row.watchdog_detected)
+            .push("nested_recovered", r.row.nested_recovered)
+            .push("success_rate", r.row.success_rate());
+        j
+    }));
+    let variant = cfg.variant.slug();
+    let context =
+        |mode_i: usize, iface: &str| format!("table2b/{}/{iface}/{variant}", MODES[mode_i].0);
+    out.metrics(
+        results
             .iter()
-            .map(|(mode_i, _, r)| {
-                let mut j = Json::object();
-                j.push("mode", MODES[*mode_i].0)
-                    .push("component", r.row.component.as_str())
-                    .push("injected", r.row.injected)
-                    .push("recovered", r.row.recovered)
-                    .push("segfault", r.row.segfault)
-                    .push("propagated", r.row.propagated)
-                    .push("other", r.row.other)
-                    .push("undetected", r.row.undetected)
-                    .push("degraded", r.row.degraded)
-                    .push("watchdog_detected", r.row.watchdog_detected)
-                    .push("nested_recovered", r.row.nested_recovered)
-                    .push("success_rate", r.row.success_rate());
-                j
-            })
-            .collect();
-        sg_bench::exit_on_error(sg_bench::write_artifact(
-            &path,
-            &Json::Array(rows).to_pretty(),
-        ));
-        println!("rows written to {path}");
-    }
-
-    if let Some(path) = metrics_path {
-        let variant = cfg.variant.slug();
-        let mut out = String::new();
-        for (mode_i, iface, r) in &results {
-            out.push_str(
-                &r.metrics
-                    .to_json_lines(&format!("table2b/{}/{iface}/{variant}", MODES[*mode_i].0)),
-            );
-        }
-        sg_bench::exit_on_error(sg_bench::write_artifact(&path, &out));
-        println!("metrics written to {path}");
-    }
-
-    if let Some(path) = trace_path {
-        let shards: Vec<_> = results
+            .map(|(mode_i, iface, r)| r.metrics.to_json_lines(&context(*mode_i, iface))),
+    );
+    out.trace(results.iter().flat_map(|(_, _, r)| r.trace.iter().cloned()));
+    out.series(
+        results
             .iter()
-            .flat_map(|(_, _, r)| r.trace.iter().cloned())
-            .collect();
-        sg_bench::exit_on_error(sg_bench::write_trace(&path, &shards));
-    }
-
-    if let Some(path) = series_path {
-        let variant = cfg.variant.slug();
-        let sections: Vec<(String, &composite::SeriesSnapshot)> = results
-            .iter()
-            .map(|(mode_i, iface, r)| {
-                (
-                    format!("table2b/{}/{iface}/{variant}", MODES[*mode_i].0),
-                    &r.series,
-                )
-            })
-            .collect();
-        sg_bench::exit_on_error(sg_bench::write_series(
-            &path,
-            cfg.series_window_ns,
-            &sections,
-        ));
-    }
+            .map(|(mode_i, iface, r)| (context(*mode_i, iface), &r.series)),
+    );
 }

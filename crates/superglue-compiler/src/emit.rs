@@ -45,27 +45,6 @@ pub fn emit_both(
     (client, server, used_c)
 }
 
-/// Write both generated stubs to `dir` as
-/// `<iface>_cstub.rs.gen` / `<iface>_sstub.rs.gen` (the artifacts a user
-/// inspects, mirroring the paper's generated C files).
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_to_dir(
-    dir: &std::path::Path,
-    iface: &str,
-    client_source: &str,
-    server_source: &str,
-) -> std::io::Result<(std::path::PathBuf, std::path::PathBuf)> {
-    std::fs::create_dir_all(dir)?;
-    let cpath = dir.join(format!("{iface}_cstub.rs.gen"));
-    let spath = dir.join(format!("{iface}_sstub.rs.gen"));
-    std::fs::write(&cpath, client_source)?;
-    std::fs::write(&spath, server_source)?;
-    Ok((cpath, spath))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,16 +148,6 @@ int evt_free(componentid_t compid, desc(long evtid));
                 f.name
             );
         }
-    }
-
-    #[test]
-    fn write_to_dir_round_trips() {
-        let (s, st, p) = lock();
-        let (client, server, _) = emit_both(&s, &st, &p);
-        let dir = std::env::temp_dir().join("sg-emit-test");
-        let (cpath, spath) = write_to_dir(&dir, "lock", &client, &server).unwrap();
-        assert_eq!(std::fs::read_to_string(cpath).unwrap(), client);
-        assert_eq!(std::fs::read_to_string(spath).unwrap(), server);
     }
 
     #[test]

@@ -634,3 +634,29 @@ fn unwritable_trace_path_exits_2() {
         assert!(!missing.parent().expect("parent").exists(), "{args:?}");
     }
 }
+
+/// The artifacts of one run land together or not at all: a `--trace`
+/// path that cannot be written also takes back the `--json` rows that
+/// could have been.
+#[test]
+fn unwritable_trace_path_leaves_no_rows_file() {
+    let dir = std::env::temp_dir().join(format!("sg-bench-half-writable-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_table2"))
+        .args(["--injections", "1", "--json"])
+        .arg(dir.join("rows.json"))
+        .arg("--trace")
+        .arg(dir.join("missing").join("t.jsonl"))
+        .output()
+        .expect("harness runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("cannot write"), "{stderr}");
+    assert_eq!(
+        std::fs::read_dir(&dir).expect("read dir").count(),
+        0,
+        "no artifact of the run is left behind"
+    );
+    std::fs::remove_dir_all(&dir).expect("clean up");
+}
