@@ -31,10 +31,13 @@ struct DescRecord {
 ///
 /// Descriptor records are keyed interface-first: the outer map holds a
 /// handful of interface names (looked up by `&str`, no per-record key
-/// allocation) and the inner stores are slab-indexed by descriptor id —
-/// record traffic is the per-creation G0 hot path for global interfaces,
-/// and descriptor ids are dense, so each record touch is O(1) even when
-/// a workload accumulates many records.
+/// allocation) and the inner stores are [`IdSlab`]s keyed by descriptor
+/// id — record traffic is the per-creation G0 hot path for global
+/// interfaces. A record whose id falls in its slab's dense window (evt's
+/// ascending ids, an MM root while its record holds the window) is one
+/// array index; any other id, such as MM's address-keyed aliases, is a
+/// `BTreeMap` lookup in the slab's spill. Each slab's window follows the
+/// span of its live records, not the largest id ever recorded.
 #[derive(Debug, Default)]
 pub struct StorageService {
     data: BTreeMap<String, Vec<u8>>,

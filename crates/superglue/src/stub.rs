@@ -29,14 +29,21 @@
 //!
 //! All per-call interpretation is precomputed at stub-build time: the
 //! function-name dispatch is one hash probe ([`CompiledStubSpec`]'s
-//! dispatch table), descriptor lookups index a slab ([`IdSlab`]), the
-//! last-observed-arguments table is a flat array of inline [`ArgVec`]s
-//! indexed by the compiler-assigned `track_slot`, and the σ step reads a
-//! dense table. The steady-state invoke path performs no map lookups, no
-//! heap allocation, and no refcount traffic: the interpreter runs over an
-//! [`Interp`] view that borrows the spec and the tracking tables as
-//! disjoint fields, so the spec reference is a plain (Copy) `&` rather
-//! than a per-call `Arc` clone.
+//! dispatch table), the last-observed-arguments table is a flat array of
+//! inline [`ArgVec`]s indexed by the compiler-assigned `track_slot`, and
+//! the σ step reads a dense table. Descriptors live in an [`IdSlab`]:
+//! ids from the one that opened its dense window up to 65,536 slots
+//! above it are indexed, and the window restarts at the next creation
+//! once every descriptor in it is closed, so an interface whose server
+//! issues ascending ids (fs, lock, evt, tmr) indexes a window of a few
+//! slots however large its ids grow. Ids outside the window take a
+//! `BTreeMap` lookup. MM's ids are page addresses
+//! (`0x100_0000_1000` for a root, `0x208_0000_1000` for its alias), so
+//! an alias always spills while its root holds the window. The
+//! steady-state invoke path performs no heap allocation and no refcount
+//! traffic: the interpreter runs over a private view that borrows the
+//! spec and the tracking tables as disjoint fields, so the spec
+//! reference is a plain (Copy) `&` rather than a per-call `Arc` clone.
 
 use std::sync::Arc;
 
