@@ -112,7 +112,7 @@ pub enum Effect {
 const INLINE: usize = 6;
 const FILLER: Effect = Effect::CountUpcall;
 
-/// A step's [`Reply`] plus its ordered effect list. Up to [`INLINE`]
+/// A step's [`Reply`] plus its ordered effect list. Up to `INLINE`
 /// effects live inline; longer lists (mass wakeups) spill to the heap.
 #[derive(Debug, Clone)]
 pub struct Effects {

@@ -289,7 +289,7 @@ impl fmt::Debug for Bytes {
 /// shipped interface function takes 5 arguments.
 const ARG_CAP: usize = 8;
 
-/// A small-vector argument buffer: up to [`ARG_CAP`] values live on the
+/// A small-vector argument buffer: up to `ARG_CAP` values live on the
 /// caller's stack, so building a translated/replayed argument list on the
 /// invoke path allocates nothing. This is the "per-thread scratch" of the
 /// hot path — it lives in the invoking thread's stack frame, which keeps
@@ -313,7 +313,7 @@ impl ArgVec {
         })
     }
 
-    /// Append a value, spilling to the heap past [`ARG_CAP`] entries.
+    /// Append a value, spilling to the heap past `ARG_CAP` entries.
     pub fn push(&mut self, value: Value) {
         match &mut self.0 {
             ArgRepr::Inline { len, buf } => {

@@ -1,7 +1,7 @@
 //! The runtime shell around the pure kernel core.
 //!
 //! All kernel *decisions* live in `composite-core`:
-//! [`step`](composite_core::step) consumes a [`KernelState`] and an
+//! [`step`](fn@composite_core::step) consumes a [`KernelState`] and an
 //! [`Event`] and returns the successor state plus an ordered
 //! [`Effects`] list. This module owns everything the pure core cannot:
 //! the flight-recorder ring, the metrics registry, the event counters,

@@ -16,7 +16,7 @@
 //! fires; the harness binaries snapshot them per run and dump JSON-lines
 //! for offline analysis.
 //!
-//! The registry lives in the [`Kernel`](crate::kernel::Kernel) so that
+//! The registry lives in the [`Kernel`] so that
 //! stubs (which only see a kernel handle) and services alike can reach
 //! it. Snapshots are keyed by component *name* — stable across testbed
 //! rebuilds and across the campaign shards whose merged totals must be
