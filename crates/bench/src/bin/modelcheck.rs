@@ -17,7 +17,9 @@
 //! On a violation the harness shrinks the event sequence to a minimal
 //! reproducer, writes it as a JSON artifact (`--out`, consumable by
 //! `sgtrace replay` for the core layer), prints it, and exits 1. A
-//! usage error or an unwritable `--out` exits 2.
+//! usage error, or an `--out` whose directory is missing, exits 2
+//! before any walk; an `--out` that still cannot be written exits 2
+//! after it.
 //!
 //! * **elide** — [`sg_bench::modelck::ElideDiffWalk`] drives a
 //!   fully-tracked and a certified-elision testbed through the identical
@@ -86,9 +88,11 @@ fn main() -> ExitCode {
                 .map_or_else(|| v.parse(), |h| u64::from_str_radix(h, 16))
         })
         .unwrap_or(0xC3_5EED);
-    let path = args
-        .string("--out")
-        .unwrap_or_else(|| "target/modelcheck-counterexample.json".to_owned());
+    let path = args.string("--out");
+    if let Some(path) = &path {
+        args.require_dir_of(path);
+    }
+    let path = path.unwrap_or_else(|| "target/modelcheck-counterexample.json".to_owned());
     args.finish([]);
     let mut failed = false;
     // The last failing layer's counterexample, which `--out` receives.

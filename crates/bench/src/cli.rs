@@ -113,6 +113,22 @@ impl HarnessArgs {
         })
     }
 
+    /// Exit 2 unless the directory `path` would be written in exists (an
+    /// empty parent is the current directory), so that a mistyped
+    /// output path fails before the run rather than after it.
+    pub fn require_dir_of(&self, path: &str) {
+        let dir = match Path::new(path).parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        if !dir.is_dir() {
+            self.fail(&format!(
+                "cannot write {path}: no directory {}",
+                dir.display()
+            ));
+        }
+    }
+
     /// The leading subcommand word (`sgtrace timeline ...`).
     pub fn subcommand(&mut self) -> String {
         match self.args.first_mut().and_then(Option::take) {
@@ -179,6 +195,7 @@ impl Artifacts {
     /// Read the artifact flags among `flags` (`--json`, `--metrics`,
     /// `--trace`, `--series` with `--series-window`, `--bench-json`)
     /// that this harness accepts; `window` is its default window width.
+    /// A path whose directory is missing exits 2 here, before the run.
     pub fn from_args(args: &mut HarnessArgs, flags: &[&str], window: u64) -> Self {
         let mut path = |name: &str| {
             if flags.contains(&name) {
@@ -189,6 +206,12 @@ impl Artifacts {
         };
         let (json, metrics, trace) = (path("--json"), path("--metrics"), path("--trace"));
         let (series, bench_json) = (path("--series"), path("--bench-json"));
+        for path in [&json, &metrics, &trace, &series, &bench_json]
+            .into_iter()
+            .flatten()
+        {
+            args.require_dir_of(path);
+        }
         let window = if flags.contains(&"--series") {
             args.parsed("--series-window").unwrap_or(window)
         } else {

@@ -150,9 +150,10 @@ fn entries(dir: &Path) -> Vec<String> {
 }
 
 /// Every binary rejects an unknown flag, a flag missing its value, an
-/// unparsable or out-of-range value and an unreadable input the same
-/// way: exit 2, `error:` and the offending flag (or path) on stderr,
-/// nothing on stdout, and no file written — before any work runs.
+/// unparsable or out-of-range value, an unreadable input and an output
+/// path in a missing directory the same way: exit 2, `error:` and the
+/// offending flag (or path) on stderr, nothing on stdout, and no file
+/// written — before any work runs.
 #[test]
 fn bad_flags_exit_2_before_any_work() {
     let trace = golden_dir().join("nested_episode.jsonl");
@@ -224,6 +225,26 @@ fn bad_flags_exit_2_before_any_work() {
             "--min-availability",
         ),
         ("sgstat", &["avail", "missing.jsonl"], "missing.jsonl"),
+        (
+            "table2",
+            &["--injections", "1", "--json", "no-such-dir/r.json"],
+            "cannot write no-such-dir/r.json",
+        ),
+        (
+            "fig7",
+            &["--seconds", "1", "--trace", "no-such-dir/t.jsonl"],
+            "cannot write no-such-dir/t.jsonl",
+        ),
+        (
+            "pipeline",
+            &["--messages", "10", "--metrics", "no-such-dir/m.jsonl"],
+            "cannot write no-such-dir/m.jsonl",
+        ),
+        (
+            "modelcheck",
+            &["--system-steps", "1", "--out", "no-such-dir/c.json"],
+            "cannot write no-such-dir/c.json",
+        ),
     ];
     let dir = fresh_dir("bad-flags");
     for &(bin, args, named) in cases {
