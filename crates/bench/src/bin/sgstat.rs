@@ -24,6 +24,11 @@
 //!   — gate a trace against an SLO policy; any violation (including a
 //!   failed conservation audit) exits 1, so CI can enforce
 //!   recovery-latency and availability budgets.
+//! * `sgstat agree METRICS.jsonl [--series SERIES.jsonl] [--trace
+//!   TRACE.jsonl]` — re-derive the metrics from the series (per context
+//!   and component) and from the trace (per component, SKIP where the
+//!   ring dropped events); exit 1 naming every (context, component,
+//!   field) that disagrees.
 //!
 //! Exit status: 0 clean, 1 a finding, 2 a usage error or an unreadable
 //! or malformed input.
@@ -31,8 +36,8 @@
 use std::process::ExitCode;
 
 use sg_bench::stat::{
-    avail_report, collapsed_stacks, critpath_report, evaluate_slo, openmetrics_from_metrics,
-    parse_series, parse_trace, series_report, us, Conservation, SloPolicy,
+    agree, avail_report, collapsed_stacks, critpath_report, evaluate_slo, openmetrics_from_metrics,
+    parse_metrics, parse_series, parse_trace, series_report, us, Conservation, SloPolicy,
 };
 use sg_bench::HarnessArgs;
 
@@ -94,11 +99,34 @@ fn cmd_slo(path: &str, policy: &SloPolicy) -> Result<ExitCode, String> {
     }
 }
 
+fn cmd_agree(
+    path: &str,
+    series: Option<String>,
+    trace: Option<String>,
+) -> Result<ExitCode, String> {
+    if series.is_none() && trace.is_none() {
+        return Err("agree needs --series or --trace".to_owned());
+    }
+    let metrics = parse_metrics(path)?;
+    let series = series.as_deref().map(parse_series).transpose()?;
+    let trace = trace.as_deref().map(parse_trace).transpose()?;
+    let report = agree(&metrics, series.as_ref(), trace.as_deref());
+    for line in &report.lines {
+        println!("{line}");
+    }
+    Ok(if report.mismatches == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
+}
+
 const USAGE: &str = "usage: sgstat series SERIES.jsonl \
                      | sgstat avail TRACE.jsonl \
                      | sgstat critpath TRACE.jsonl [--collapse] \
                      | sgstat export METRICS.jsonl \
-                     | sgstat slo TRACE.jsonl [--max-p99-ns N] [--min-availability X]";
+                     | sgstat slo TRACE.jsonl [--max-p99-ns N] [--min-availability X] \
+                     | sgstat agree METRICS.jsonl [--series SERIES.jsonl] [--trace TRACE.jsonl]";
 
 fn main() -> ExitCode {
     let mut args = HarnessArgs::from_env(USAGE);
@@ -116,6 +144,10 @@ fn main() -> ExitCode {
                 min_availability: args.parsed_in("--min-availability", 0.0..=1.0),
             };
             cmd_slo(&args.finish(["TRACE"])[0], &policy)
+        }
+        "agree" => {
+            let (series, trace) = (args.string("--series"), args.string("--trace"));
+            cmd_agree(&args.finish(["METRICS"])[0], series, trace)
         }
         other => args.fail(&format!("unknown subcommand {other:?}")),
     };

@@ -18,8 +18,8 @@
 //!    operation the stubs track exactly the baseline descriptor set:
 //!    recovery rebuilt what it had to and leaked nothing.
 //! 4. **σ-table/trace-counter agreement** — mechanism counts summed
-//!    from the drained flight-recorder shard equal the
-//!    [`MetricsRegistry`](composite::MetricsRegistry) totals.
+//!    from the drained flight-recorder shard equal the kernel's
+//!    [`Counters`](composite::Counters) totals.
 //! 5. **Episode-latency conservation** — re-summing the timed spans of
 //!    every closed recovery episode reproduces its attributed latency
 //!    exactly (the same check `sgtrace timeline` performs offline).
@@ -223,7 +223,7 @@ impl SystemWalk {
                 out.push(Violation {
                     invariant: "state-effect-agreement",
                     detail: format!(
-                        "{m:?}: metrics registry counted {metric}, trace recorded {traced}"
+                        "{m:?}: kernel counters counted {metric}, trace recorded {traced}"
                     ),
                 });
             }

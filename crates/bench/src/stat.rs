@@ -22,14 +22,17 @@
 //!   chain per episode and a flamegraph-ready collapsed-stack export.
 //! * [`parse_series_text`] / [`series_report`] — windowed-telemetry
 //!   summaries from `--series` dumps.
-//! * [`openmetrics_from_metrics`] — `--metrics` rows re-rendered as an
-//!   OpenMetrics text exposition (quantiles recomputed from the shipped
-//!   log₂ histograms via [`LatencyStat::quantile_ns`]).
+//! * [`parse_metrics_text`] / [`openmetrics_from_metrics`] — `--metrics`
+//!   rows, and the same rows re-rendered as an OpenMetrics text
+//!   exposition (quantiles recomputed from the shipped log₂ histograms
+//!   via [`LatencyStat::quantile_ns`]).
+//! * [`agree`] — re-derive the metrics rows from a series file and from
+//!   a trace, naming every (context, component, field) that differs.
 //! * [`evaluate_slo`] — gate a trace against `--max-p99-ns` /
 //!   `--min-availability` thresholds; violations make `sgstat slo`
 //!   exit nonzero.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use composite::{Json, LatencyStat};
@@ -801,33 +804,56 @@ pub fn series_report(file: &SeriesFile) -> String {
 }
 
 // ---------------------------------------------------------------------
-// OpenMetrics export
+// Metrics rows
 // ---------------------------------------------------------------------
 
-fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('"', "\\\"")
+/// The eight kernel counters of a `--metrics` row, in file order, each
+/// with the help text of its OpenMetrics family.
+const METRICS_COUNTERS: [(&str, &str); 8] = [
+    ("invocations", "Component invocations"),
+    ("faulted_invocations", "Invocations that returned a fault"),
+    ("faults", "Faults injected"),
+    ("reboots", "Micro-reboots"),
+    ("watchdog_fires", "Watchdog firings"),
+    ("degraded_rejections", "Calls rejected while degraded"),
+    ("nested_faults", "Correlated faults during recovery"),
+    ("cold_restarts", "Cold restarts"),
+];
+
+/// One parsed `--metrics` row.
+#[derive(Debug, Clone, Default)]
+pub struct MetricsLine {
+    pub context: String,
+    pub component: String,
+    /// The eight kernel counters, in file order (`invocations` first,
+    /// `cold_restarts` last); a counter the row lacks reads 0.
+    pub counters: [u64; 8],
+    /// Mechanism counts by name, every key the row lists.
+    pub mechanisms: BTreeMap<String, u64>,
+    /// The recovery latency, histogram included.
+    pub latency: LatencyStat,
 }
 
-/// Re-render a `--metrics` JSON-lines dump as an OpenMetrics text
-/// exposition. Quantiles are recomputed from the shipped log₂
-/// histograms, so the export carries p50/p90/p99 even though the JSON
-/// rows only store buckets.
-pub fn openmetrics_from_metrics(text: &str) -> Result<String, String> {
-    struct Row {
-        context: String,
-        component: String,
-        counters: Vec<(&'static str, u64)>,
-        mechanisms: BTreeMap<String, u64>,
-        latency: LatencyStat,
+impl MetricsLine {
+    /// The kernel counter `name` (0 for a name outside the eight).
+    fn counter(&self, name: &str) -> u64 {
+        METRICS_COUNTERS
+            .iter()
+            .position(|&(n, _)| n == name)
+            .map_or(0, |i| self.counters[i])
     }
-    let mut rows: Vec<Row> = Vec::new();
+}
+
+/// Parse a `--metrics` JSON-lines dump from text.
+pub fn parse_metrics_text(text: &str) -> Result<Vec<MetricsLine>, String> {
+    let mut rows = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
         let j = Json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
         let get = |k: &str| j.get(k).and_then(Json::as_u64).unwrap_or(0);
-        let mut row = Row {
+        let mut row = MetricsLine {
             context: j
                 .get("context")
                 .and_then(Json::as_str)
@@ -838,18 +864,8 @@ pub fn openmetrics_from_metrics(text: &str) -> Result<String, String> {
                 .and_then(Json::as_str)
                 .unwrap_or("?")
                 .to_owned(),
-            counters: vec![
-                ("invocations", get("invocations")),
-                ("faulted_invocations", get("faulted_invocations")),
-                ("faults", get("faults")),
-                ("reboots", get("reboots")),
-                ("watchdog_fires", get("watchdog_fires")),
-                ("degraded_rejections", get("degraded_rejections")),
-                ("nested_faults", get("nested_faults")),
-                ("cold_restarts", get("cold_restarts")),
-            ],
-            mechanisms: BTreeMap::new(),
-            latency: LatencyStat::default(),
+            counters: METRICS_COUNTERS.map(|(name, _)| get(name)),
+            ..MetricsLine::default()
         };
         if let Some(Json::Object(pairs)) = j.get("mechanisms") {
             for (k, v) in pairs {
@@ -878,31 +894,40 @@ pub fn openmetrics_from_metrics(text: &str) -> Result<String, String> {
     if rows.is_empty() {
         return Err("no metrics rows found".to_owned());
     }
+    Ok(rows)
+}
 
+/// Parse a `--metrics` dump from a file path.
+pub fn parse_metrics(path: &str) -> Result<Vec<MetricsLine>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    parse_metrics_text(&text).map_err(|e| format!("{path}: {e}"))
+}
+
+// ---------------------------------------------------------------------
+// OpenMetrics export
+// ---------------------------------------------------------------------
+
+fn escape_label(v: &str) -> String {
+    v.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
+/// Re-render a `--metrics` JSON-lines dump as an OpenMetrics text
+/// exposition. Quantiles are recomputed from the shipped log₂
+/// histograms, so the export carries p50/p90/p99 even though the JSON
+/// rows only store buckets.
+pub fn openmetrics_from_metrics(text: &str) -> Result<String, String> {
+    let rows = parse_metrics_text(text)?;
     let mut out = String::new();
-    for (name, help) in [
-        ("invocations", "Component invocations"),
-        ("faulted_invocations", "Invocations that returned a fault"),
-        ("faults", "Faults injected"),
-        ("reboots", "Micro-reboots"),
-        ("watchdog_fires", "Watchdog firings"),
-        ("degraded_rejections", "Calls rejected while degraded"),
-        ("nested_faults", "Correlated faults during recovery"),
-        ("cold_restarts", "Cold restarts"),
-    ] {
+    for (i, (name, help)) in METRICS_COUNTERS.iter().enumerate() {
         let _ = writeln!(out, "# TYPE sg_{name} counter");
         let _ = writeln!(out, "# HELP sg_{name} {help}");
         for row in &rows {
-            let v = row
-                .counters
-                .iter()
-                .find(|(k, _)| *k == name)
-                .map_or(0, |(_, v)| *v);
             let _ = writeln!(
                 out,
-                "sg_{name}_total{{context=\"{}\",component=\"{}\"}} {v}",
+                "sg_{name}_total{{context=\"{}\",component=\"{}\"}} {}",
                 escape_label(&row.context),
-                escape_label(&row.component)
+                escape_label(&row.component),
+                row.counters[i]
             );
         }
     }
@@ -953,6 +978,148 @@ pub fn openmetrics_from_metrics(text: &str) -> Result<String, String> {
     }
     out.push_str("# EOF\n");
     Ok(out)
+}
+
+// ---------------------------------------------------------------------
+// Cross-artifact agreement
+// ---------------------------------------------------------------------
+
+/// Counts keyed by (context, component), then by field name.
+type Tally = BTreeMap<(String, String), BTreeMap<String, u64>>;
+
+fn tally(t: &mut Tally, context: &str, component: &str, field: &str, n: u64) {
+    let row = t
+        .entry((context.to_owned(), component.to_owned()))
+        .or_default();
+    let count = row.entry(field.to_owned()).or_default();
+    *count = count.saturating_add(n);
+}
+
+/// What `sgstat agree` found: one line per comparison it made or
+/// skipped, each disagreeing (context, component, field) on a line of
+/// its own under its comparison.
+#[derive(Debug, Default)]
+pub struct Agreement {
+    pub lines: Vec<String>,
+    /// How many (context, component, field) triples disagree.
+    pub mismatches: usize,
+}
+
+impl Agreement {
+    /// Compare the metrics tally with the `other` artifact's over the
+    /// union of their keys (`unit` names them) and fields; a missing
+    /// count reads 0.
+    fn compare(&mut self, what: &str, unit: &str, metrics: &Tally, other: &Tally) {
+        let keys: BTreeSet<&(String, String)> = metrics.keys().chain(other.keys()).collect();
+        let mut bad = Vec::new();
+        for key in &keys {
+            let sides = [metrics.get(*key), other.get(*key)];
+            let fields: BTreeSet<&String> = sides.iter().flatten().flat_map(|m| m.keys()).collect();
+            for field in fields {
+                let [m, o] = sides.map(|side| side.and_then(|s| s.get(field)).map_or(0, |n| *n));
+                if m != o {
+                    let (context, component) = key;
+                    bad.push(format!(
+                        "  {context} {component} {field}: metrics {m}, {what} {o}"
+                    ));
+                }
+            }
+        }
+        self.lines.push(if bad.is_empty() {
+            format!("{what}: {} {unit} agree", keys.len())
+        } else {
+            format!(
+                "{what}: {} mismatch(es) over {} {unit}",
+                bad.len(),
+                keys.len()
+            )
+        });
+        self.mismatches += bad.len();
+        self.lines.append(&mut bad);
+    }
+}
+
+/// Re-derive the metrics rows from a series file and from a trace.
+///
+/// * Against the series, per (context, component): invocations,
+///   faults, each mechanism, and the recovery-latency count and total.
+/// * Against the trace, per component name summed over every shard and
+///   context (`*`): the `fault` event count while no shard dropped a
+///   recovery-class event, and the summed `n` of `mechanism` events
+///   while no shard dropped any event. Steady-state mechanism firings
+///   are ambient, so a ring that overflowed lost some of them.
+#[must_use]
+pub fn agree(
+    metrics: &[MetricsLine],
+    series: Option<&SeriesFile>,
+    trace: Option<&[Shard]>,
+) -> Agreement {
+    let mut out = Agreement::default();
+    let rows: Vec<&MetricsLine> = metrics
+        .iter()
+        .filter(|r| r.component != "*total*")
+        .collect();
+    if let Some(series) = series {
+        let (mut want, mut got) = (Tally::new(), Tally::new());
+        for r in &rows {
+            let mut add = |field: &str, n| tally(&mut want, &r.context, &r.component, field, n);
+            add("invocations", r.counter("invocations"));
+            add("faults", r.counter("faults"));
+            add("latency.count", r.latency.count);
+            add("latency.total_ns", r.latency.total_ns);
+            for (mech, &n) in &r.mechanisms {
+                add(mech, n);
+            }
+        }
+        for r in &series.rows {
+            let mut add = |field: &str, n| tally(&mut got, &r.context, &r.component, field, n);
+            add("invocations", r.invocations);
+            add("faults", r.faults);
+            add("latency.count", r.latency_count);
+            add("latency.total_ns", r.latency_total_ns);
+            for (mech, &n) in &r.mechanisms {
+                add(mech, n);
+            }
+        }
+        out.compare("series", "(context, component) pair(s)", &want, &got);
+    }
+    if let Some(shards) = trace {
+        let sum = |f: fn(&Shard) -> u64| shards.iter().map(f).fold(0, u64::saturating_add);
+        let (dropped, dropped_recovery) = (sum(|s| s.dropped), sum(|s| s.dropped_recovery));
+        if dropped_recovery > 0 {
+            out.lines.push(format!(
+                "trace: SKIP (the ring dropped {dropped_recovery} recovery-class event(s))"
+            ));
+            return out;
+        }
+        let mechanisms = dropped == 0;
+        let (mut want, mut got) = (Tally::new(), Tally::new());
+        for r in &rows {
+            tally(&mut want, "*", &r.component, "faults", r.counter("faults"));
+            for (mech, &n) in r.mechanisms.iter().filter(|_| mechanisms) {
+                tally(&mut want, "*", &r.component, mech, n);
+            }
+        }
+        for shard in shards {
+            for ev in &shard.events {
+                let name = shard.name(ev.comp);
+                match (ev.kind.as_str(), &ev.mech) {
+                    ("fault", _) => tally(&mut got, "*", name, "faults", 1),
+                    ("mechanism", Some(mech)) if mechanisms => {
+                        tally(&mut got, "*", name, mech, ev.n.unwrap_or(0));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        out.compare("trace", "component(s)", &want, &got);
+        if !mechanisms {
+            out.lines.push(format!(
+                "trace mechanisms: SKIP (the ring dropped {dropped} ambient event(s))"
+            ));
+        }
+    }
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -1210,6 +1377,71 @@ mod tests {
         let report = series_report(&file);
         assert!(report.contains("srv"));
         assert!(report.contains("window 1.0us"));
+    }
+
+    #[test]
+    fn agree_names_each_disagreeing_field() {
+        let metrics = parse_metrics_text(concat!(
+            r#"{"v":2,"context":"t","component":"srv","invocations":5,"faults":1,"reboots":1,"mechanisms":{"R0":1,"T0":0},"recovery_latency":{"count":1,"total_ns":300}}"#,
+            "\n",
+            r#"{"v":2,"context":"t","component":"*total*","invocations":5,"faults":1,"reboots":1,"mechanisms":{"R0":1,"T0":0},"recovery_latency":{"count":1,"total_ns":300}}"#,
+            "\n",
+        ))
+        .expect("metrics");
+        let series = concat!(
+            r#"{"v":2,"kind":"series","window_ns":1000}"#,
+            "\n",
+            r#"{"v":2,"context":"t","component":"srv","window":0,"invocations":3,"faults":1,"mechanisms":{"R0":1},"recovery_latency":{"count":1,"total_ns":300}}"#,
+            "\n",
+            r#"{"v":2,"context":"t","component":"srv","window":1,"invocations":2,"faults":0}"#,
+            "\n",
+        );
+        let ok = agree(
+            &metrics,
+            Some(&parse_series_text(series).expect("series")),
+            None,
+        );
+        assert_eq!(ok.mismatches, 0, "{:?}", ok.lines);
+        assert_eq!(ok.lines, ["series: 1 (context, component) pair(s) agree"]);
+
+        // One hand-edited series row: window 1 claims one more call.
+        let edited = series.replace(r#""invocations":2"#, r#""invocations":3"#);
+        let bad = agree(
+            &metrics,
+            Some(&parse_series_text(&edited).expect("series")),
+            None,
+        );
+        assert_eq!(bad.mismatches, 1);
+        assert_eq!(
+            bad.lines,
+            [
+                "series: 1 mismatch(es) over 1 (context, component) pair(s)",
+                "  t srv invocations: metrics 5, series 6"
+            ]
+        );
+
+        // The trace holds srv's one fault but no mechanism event: the R0
+        // count disagrees while nothing was dropped, is skipped once
+        // ambient events were, and the whole trace is skipped once
+        // recovery-class events were.
+        let mut shards = synth_trace();
+        let full = agree(&metrics, None, Some(&shards));
+        assert_eq!(full.mismatches, 1);
+        assert_eq!(full.lines[1], "  * srv R0: metrics 1, trace 0");
+        shards[0].dropped = 5;
+        let ambient = agree(&metrics, None, Some(&shards));
+        assert_eq!(ambient.mismatches, 0);
+        assert_eq!(
+            ambient.lines,
+            [
+                "trace: 1 component(s) agree",
+                "trace mechanisms: SKIP (the ring dropped 5 ambient event(s))"
+            ]
+        );
+        shards[0].dropped_recovery = 2;
+        let skipped = agree(&metrics, None, Some(&shards));
+        assert_eq!(skipped.mismatches, 0);
+        assert!(skipped.lines[0].starts_with("trace: SKIP"));
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! [`step`](fn@composite_core::step) consumes a [`KernelState`] and an
 //! [`Event`] and returns the successor state plus an ordered
 //! [`Effects`] list. This module owns everything the pure core cannot:
-//! the flight-recorder ring, the metrics registry, the event counters,
-//! the component-name interner, and the `Box<dyn Service>` images —
-//! and merely drives `step` and folds the returned effects into those
-//! facilities. Effect order mirrors the order the imperative kernel
-//! used to perform its trace/stats writes, so traces stay
-//! byte-identical across the split.
+//! the flight-recorder ring, the [`Counters`] table, the component-name
+//! interner, and the `Box<dyn Service>` images — and merely drives
+//! `step` and folds the returned effects into those facilities. Effect
+//! order mirrors the order the imperative kernel used to perform its
+//! trace and counter writes, so traces stay byte-identical across the
+//! split.
 //!
 //! The public API is unchanged: callers still see `Kernel::invoke`,
 //! `fault`, `micro_reboot`, and friends. New here: [`Kernel::state`]
@@ -28,10 +28,8 @@ use crate::component::{Service, ServiceCtx};
 use crate::error::{CallError, KernelError, ServiceError};
 use crate::ids::{ComponentId, Epoch, Priority, ThreadId};
 use crate::intern::{Interner, NameId};
-use crate::metrics::{Mechanism, MetricsRegistry};
+use crate::metrics::{Count, Counters, Mechanism};
 use crate::pages::PageTables;
-use crate::stats::KernelStats;
-use crate::telemetry::Telemetry;
 use crate::thread::{Thread, ThreadState};
 use crate::time::{CostModel, SimTime};
 use crate::trace::{
@@ -57,10 +55,8 @@ pub struct Kernel {
     /// of its own calls (the core's `has_service` flag distinguishes
     /// the two).
     services: Vec<Option<Box<dyn Service>>>,
-    stats: KernelStats,
-    metrics: MetricsRegistry,
+    counters: Counters,
     trace: FlightRecorder,
-    telemetry: Telemetry,
 }
 
 impl Kernel {
@@ -79,10 +75,8 @@ impl Kernel {
             names: Interner::new(),
             comp_names: Vec::new(),
             services: Vec::new(),
-            stats: KernelStats::new(),
-            metrics: MetricsRegistry::default(),
+            counters: Counters::default(),
             trace: FlightRecorder::default(),
-            telemetry: Telemetry::default(),
         };
         let booter = k.add_client_component("booter");
         debug_assert_eq!(booter, BOOTER);
@@ -111,47 +105,40 @@ impl Kernel {
         self.absorb(&fx)
     }
 
-    /// Fold one effect list, in order, into stats, metrics, and the
-    /// flight recorder. The order is the replay contract: it matches
-    /// the sequence of writes the imperative kernel performed, so the
+    /// Fold one effect list, in order, into the counters and the flight
+    /// recorder. The order is the replay contract: it matches the
+    /// sequence of writes the imperative kernel performed, so the
     /// resulting trace is byte-identical.
     fn absorb(&mut self, fx: &Effects) -> Option<u64> {
         let mut fault_span: Option<u64> = None;
         let mut last_mech: Option<u64> = None;
+        let now = self.state.time;
         for e in fx.iter() {
             match *e {
-                Effect::CountInvocation(c) => {
-                    self.stats.count_invocation(c);
-                    self.telemetry.record_invocation(c, self.state.time);
+                Effect::CountInvocation(c) => self.counters.count(c, now, Count::Invocation),
+                Effect::CountFaultedInvocation(c) => {
+                    self.counters.count(c, now, Count::FaultedInvocation);
                 }
-                Effect::CountFaultedInvocation(c) => self.stats.count_faulted_invocation(c),
-                Effect::CountFault(c) => {
-                    self.stats.count_fault(c);
-                    self.telemetry.record_fault(c, self.state.time);
+                Effect::CountFault(c) => self.counters.count(c, now, Count::Fault),
+                Effect::CountNestedFault(c) => self.counters.count(c, now, Count::NestedFault),
+                Effect::CountReboot(c) => self.counters.count(c, now, Count::Reboot),
+                Effect::CountColdRestart(c) => self.counters.count(c, now, Count::ColdRestart),
+                Effect::CountWatchdogFire(c) => self.counters.count(c, now, Count::WatchdogFire),
+                Effect::CountDegradedRejection(c) => {
+                    self.counters.count(c, now, Count::DegradedRejection);
                 }
-                Effect::CountNestedFault(c) => self.stats.count_nested_fault(c),
-                Effect::CountReboot(c) => self.stats.count_reboot(c),
-                Effect::CountColdRestart(c) => self.stats.count_cold_restart(c),
-                Effect::CountWatchdogFire(c) => self.stats.count_watchdog_fire(c),
-                Effect::CountDegradedRejection(c) => self.stats.count_degraded_rejection(c),
-                Effect::CountUpcall => self.stats.upcalls += 1,
+                Effect::CountUpcall => self.counters.upcalls += 1,
                 Effect::ThreadBlocked {
                     thread,
                     in_component,
-                } => {
-                    self.stats.blocks += 1;
-                    self.trace_instant(in_component, thread, TraceEventKind::Block);
-                }
+                } => self.trace_instant(in_component, thread, TraceEventKind::Block),
                 Effect::ThreadSlept {
                     thread,
                     home,
                     until,
-                } => {
-                    self.stats.blocks += 1;
-                    self.trace_instant(home, thread, TraceEventKind::Sleep { until });
-                }
+                } => self.trace_instant(home, thread, TraceEventKind::Sleep { until }),
                 Effect::ThreadWoken { thread, site } => {
-                    self.stats.wakeups += 1;
+                    self.counters.wakeups += 1;
                     self.trace_instant(site, thread, TraceEventKind::Wake);
                 }
                 Effect::FaultRaised {
@@ -162,25 +149,18 @@ impl Kernel {
                     fault_span = self.on_fault_raised(component, epoch, nested);
                 }
                 Effect::FaultWoke { component, thread } => {
-                    self.stats.wakeups += 1;
+                    self.counters.wakeups += 1;
                     if self.trace.is_enabled() {
-                        self.trace_instant_with_parent(
-                            component,
-                            thread,
-                            fault_span,
-                            TraceEventKind::Wake,
-                        );
+                        let wake = TraceEventKind::Wake;
+                        self.emit(component, thread, fault_span, SimTime::ZERO, wake);
                     }
                 }
                 Effect::WatchdogFired { component, thread } => {
                     self.trace_instant(component, thread, TraceEventKind::WatchdogFired);
                 }
                 Effect::DegradedMarked { component, until } => {
-                    self.trace_instant(
-                        component,
-                        BOOT_THREAD,
-                        TraceEventKind::DegradedMarked { until },
-                    );
+                    let kind = TraceEventKind::DegradedMarked { until };
+                    self.trace_instant(component, BOOT_THREAD, kind);
                 }
                 Effect::MechanismFired {
                     component,
@@ -221,17 +201,9 @@ impl Kernel {
                 .end_episode(c, epoch, self.state.time, BOOT_THREAD);
             (None, 0)
         };
-        let span = self.trace.alloc_span();
-        self.trace.record(TraceEvent {
-            span,
-            parent,
-            time: self.state.time,
-            dur: SimTime::ZERO,
-            thread: BOOT_THREAD,
-            component: c,
-            epoch,
-            kind: TraceEventKind::FaultInjected { depth },
-        });
+        debug_assert_eq!(Some(epoch), self.epoch_of(c), "fault keeps its epoch");
+        let kind = TraceEventKind::FaultInjected { depth };
+        let span = self.emit(c, BOOT_THREAD, parent, SimTime::ZERO, kind);
         self.trace.begin_episode(c, span);
         Some(span)
     }
@@ -488,47 +460,30 @@ impl Kernel {
         let _ = self.apply(Event::SetCosts(costs));
     }
 
-    /// Event counters.
+    /// The counters table: per-component run totals and, while the
+    /// `--series` windows are on, per-window rows. Harnesses snapshot it
+    /// via [`crate::metrics::MetricsSnapshot::from_kernel`] and
+    /// [`crate::telemetry::SeriesSnapshot::from_kernel`].
     #[must_use]
-    pub fn stats(&self) -> &KernelStats {
-        &self.stats
+    pub fn counters(&self) -> &Counters {
+        &self.counters
     }
 
-    /// Recovery-observability metrics (read side; harnesses snapshot
-    /// these via [`crate::metrics::MetricsSnapshot::from_kernel`]).
-    #[must_use]
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// Recovery-mechanism metrics (write side; the C³/SuperGlue recovery
-    /// runtimes record mechanism firings here).
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.metrics
-    }
-
-    /// Record the simulated time one recovery episode on `c` took: feeds
-    /// both the aggregate [`MetricsRegistry`] latency histogram and —
-    /// when `--series` telemetry is on — the window the episode started
-    /// in. The recovery runtimes call this instead of writing to the
-    /// registry directly so the two views can never disagree.
+    /// Record the simulated time one recovery episode on `c` took, in
+    /// the run totals and in the series window the episode started in.
     pub fn record_recovery_latency(&mut self, c: ComponentId, d: SimTime) {
-        self.metrics.record_recovery_latency(c, d);
-        self.telemetry
-            .record_recovery_latency(c, d, self.state.time.saturating_sub(d));
+        let start = self.state.time.saturating_sub(d);
+        self.counters.count(c, start, Count::Latency(d));
     }
 
-    /// Turn windowed `--series` telemetry on with the given window width
-    /// (see [`crate::telemetry::Telemetry`]).
+    /// Turn the `--series` windows of the counters table on with the
+    /// given window width.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero window.
     pub fn enable_telemetry(&mut self, window: SimTime) {
-        self.telemetry.enable(window);
-    }
-
-    /// The windowed telemetry accumulator (read side; harnesses snapshot
-    /// it via [`crate::telemetry::SeriesSnapshot::from_kernel`]).
-    #[must_use]
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        self.counters.enable_series(window);
     }
 
     /// Count a **U0** upcall dispatch into the creator of a descriptor
@@ -695,11 +650,11 @@ impl Kernel {
     }
 
     /// The single choke point through which every mechanism firing is
-    /// counted: increments the [`MetricsRegistry`] *and* (when tracing)
-    /// emits the matching [`TraceEventKind::MechanismFired`] event, so
-    /// the two views are equal by construction. `dur` is the simulated
-    /// time the firing itself consumed (already charged by the caller);
-    /// the returned span can parent nested recovery work.
+    /// counted: adds to the [`Counters`] *and* (when tracing) emits the
+    /// matching [`TraceEventKind::MechanismFired`] event, so the two
+    /// views are equal by construction. `dur` is the simulated time the
+    /// firing itself consumed (already charged by the caller); the
+    /// returned span can parent nested recovery work.
     pub fn record_mechanism(
         &mut self,
         c: ComponentId,
@@ -711,13 +666,36 @@ impl Kernel {
         if n == 0 {
             return None;
         }
-        self.metrics.record_many(c, m, n);
-        self.telemetry
-            .record_mechanism(c, m, n, self.state.time.saturating_sub(dur));
+        let start = self.state.time.saturating_sub(dur);
+        self.counters.count(c, start, Count::Mechanism(m, n));
         if !self.trace.is_enabled() {
             return None;
         }
         let parent = self.trace.causal_parent(c);
+        let kind = TraceEventKind::MechanismFired { mech: m, n };
+        Some(self.emit(c, thread, parent, dur, kind))
+    }
+
+    /// Emit one instant (zero-duration) trace event; no-op while
+    /// disabled. Stubs use this for descriptor create/teardown markers.
+    pub fn trace_instant(&mut self, c: ComponentId, thread: ThreadId, kind: TraceEventKind) {
+        if self.trace.is_enabled() {
+            let parent = self.trace.causal_parent(c);
+            self.emit(c, thread, parent, SimTime::ZERO, kind);
+        }
+    }
+
+    /// Record `kind` on `c` under `parent` as a fresh span: an event that
+    /// ends now, after `dur`, stamped with `c`'s current epoch. Returns
+    /// the span. The caller checks that tracing is on.
+    fn emit(
+        &mut self,
+        c: ComponentId,
+        thread: ThreadId,
+        parent: Option<u64>,
+        dur: SimTime,
+        kind: TraceEventKind,
+    ) -> u64 {
         let span = self.trace.alloc_span();
         let epoch = self.epoch_of(c).unwrap_or_default();
         self.trace.record(TraceEvent {
@@ -728,30 +706,9 @@ impl Kernel {
             thread,
             component: c,
             epoch,
-            kind: TraceEventKind::MechanismFired { mech: m, n },
-        });
-        Some(span)
-    }
-
-    /// Emit one instant (zero-duration) trace event; no-op while
-    /// disabled. Stubs use this for descriptor create/teardown markers.
-    pub fn trace_instant(&mut self, c: ComponentId, thread: ThreadId, kind: TraceEventKind) {
-        if !self.trace.is_enabled() {
-            return;
-        }
-        let parent = self.trace.causal_parent(c);
-        let span = self.trace.alloc_span();
-        let epoch = self.epoch_of(c).unwrap_or_default();
-        self.trace.record(TraceEvent {
-            span,
-            parent,
-            time: self.state.time,
-            dur: SimTime::ZERO,
-            thread,
-            component: c,
-            epoch,
             kind,
         });
+        span
     }
 
     /// Open a timed recovery scope on `c`: pre-assigns the span (so
@@ -907,27 +864,11 @@ impl Kernel {
                 AdmitOutcome::Faulty => {
                     if self.trace.is_enabled() {
                         let parent = self.trace.causal_parent(target);
-                        let span = self.trace.alloc_span();
-                        let epoch = self.epoch_of(target).unwrap_or_default();
-                        self.trace.record(TraceEvent {
-                            span,
-                            parent,
-                            time: self.state.time,
-                            dur: SimTime::ZERO,
-                            thread,
-                            component: target,
-                            epoch,
-                            kind: TraceEventKind::InvokeEnter {
-                                function: fname.to_owned(),
-                                client,
-                            },
-                        });
-                        self.trace_instant_with_parent(
-                            target,
-                            thread,
-                            Some(span),
-                            TraceEventKind::InvokeExit { outcome: "fault" },
-                        );
+                        let function = fname.to_owned();
+                        let enter = TraceEventKind::InvokeEnter { function, client };
+                        let span = self.emit(target, thread, parent, SimTime::ZERO, enter);
+                        let exit = TraceEventKind::InvokeExit { outcome: "fault" };
+                        self.emit(target, thread, Some(span), SimTime::ZERO, exit);
                     }
                     return Err(CallError::Fault { component: target });
                 }
@@ -937,21 +878,9 @@ impl Kernel {
         // The thread has migrated and the invocation cost is charged.
         let enter_span = if self.trace.is_enabled() {
             let parent = self.trace.causal_parent(target);
-            let span = self.trace.alloc_span();
-            let epoch = self.epoch_of(target).unwrap_or_default();
-            self.trace.record(TraceEvent {
-                span,
-                parent,
-                time: self.state.time,
-                dur: SimTime::ZERO,
-                thread,
-                component: target,
-                epoch,
-                kind: TraceEventKind::InvokeEnter {
-                    function: fname.to_owned(),
-                    client,
-                },
-            });
+            let function = fname.to_owned();
+            let enter = TraceEventKind::InvokeEnter { function, client };
+            let span = self.emit(target, thread, parent, SimTime::ZERO, enter);
             self.trace.push_invoke(span);
             Some(span)
         } else {
@@ -965,12 +894,8 @@ impl Kernel {
                 let _ = self.apply(Event::InvokeAbort { thread, target });
                 if let Some(enter) = enter_span {
                     self.trace.pop_invoke();
-                    self.trace_instant_with_parent(
-                        target,
-                        thread,
-                        Some(enter),
-                        TraceEventKind::InvokeExit { outcome: "err" },
-                    );
+                    let exit = TraceEventKind::InvokeExit { outcome: "err" };
+                    self.emit(target, thread, Some(enter), SimTime::ZERO, exit);
                 }
                 return Err(CallError::NoSuchComponent(target));
             }
@@ -1015,37 +940,10 @@ impl Kernel {
                 Err(CallError::WouldBlock) => "would-block",
                 Err(_) => "err",
             };
-            self.trace_instant_with_parent(
-                target,
-                thread,
-                Some(enter),
-                TraceEventKind::InvokeExit { outcome },
-            );
+            let exit = TraceEventKind::InvokeExit { outcome };
+            self.emit(target, thread, Some(enter), SimTime::ZERO, exit);
         }
         ret
-    }
-
-    /// Emit an instant event with an explicit causal parent (invoke
-    /// exits pair with their enter span).
-    fn trace_instant_with_parent(
-        &mut self,
-        c: ComponentId,
-        thread: ThreadId,
-        parent: Option<u64>,
-        kind: TraceEventKind,
-    ) {
-        let span = self.trace.alloc_span();
-        let epoch = self.epoch_of(c).unwrap_or_default();
-        self.trace.record(TraceEvent {
-            span,
-            parent,
-            time: self.state.time,
-            dur: SimTime::ZERO,
-            thread,
-            component: c,
-            epoch,
-            kind,
-        });
     }
 
     /// Upcall into a component (bypasses the capability check — upcalls
@@ -1063,27 +961,14 @@ impl Kernel {
         fname: &str,
         args: &[Value],
     ) -> Result<Value, CallError> {
-        let scope = if self.trace.is_enabled() {
+        let scope = self.trace.is_enabled();
+        if scope {
             let parent = self.trace.causal_parent(target);
-            let span = self.trace.alloc_span();
-            let epoch = self.epoch_of(target).unwrap_or_default();
-            self.trace.record(TraceEvent {
-                span,
-                parent,
-                time: self.state.time,
-                dur: SimTime::ZERO,
-                thread,
-                component: target,
-                epoch,
-                kind: TraceEventKind::Upcall {
-                    function: fname.to_owned(),
-                },
-            });
+            let function = fname.to_owned();
+            let kind = TraceEventKind::Upcall { function };
+            let span = self.emit(target, thread, parent, SimTime::ZERO, kind);
             self.trace.push_scope(span);
-            true
-        } else {
-            false
-        };
+        }
         let r = self.invoke_inner(BOOTER, thread, target, fname, args, true);
         if scope {
             self.trace.pop_scope();
@@ -1319,7 +1204,7 @@ mod tests {
             Value::Int(5)
         );
         assert_eq!(k.invoke(client, t, svc, "get", &[]).unwrap(), Value::Int(5));
-        assert_eq!(k.stats().total_invocations(), 2);
+        assert_eq!(k.counters().total(|r| r.invocations), 2);
     }
 
     #[test]
@@ -1355,7 +1240,7 @@ mod tests {
         assert!(k.is_faulty(svc));
         let err = k.invoke(client, t, svc, "get", &[]).unwrap_err();
         assert_eq!(err, CallError::Fault { component: svc });
-        assert_eq!(k.stats().faulted_invocations[&svc], 1);
+        assert_eq!(k.counters().row(svc).unwrap().faulted_invocations, 1);
     }
 
     #[test]
@@ -1369,7 +1254,24 @@ mod tests {
         assert_eq!(k.epoch_of(svc).unwrap(), e0.next());
         // State was wiped by reset().
         assert_eq!(k.invoke(client, t, svc, "get", &[]).unwrap(), Value::Int(0));
-        assert_eq!(k.stats().total_reboots(), 1);
+        assert_eq!(k.counters().total(|r| r.reboots), 1);
+    }
+
+    #[test]
+    fn reboot_only_window_has_no_series_row() {
+        let (mut k, client, svc, t) = setup();
+        k.enable_telemetry(SimTime(100));
+        k.invoke(client, t, svc, "get", &[]).unwrap();
+        k.advance_to(SimTime(1_000));
+        k.fault(svc);
+        k.advance_to(SimTime(2_000));
+        k.micro_reboot(svc).unwrap();
+        let series = crate::SeriesSnapshot::from_kernel(&k);
+        let windows: Vec<u64> = series.rows.keys().map(|&(_, w)| w).collect();
+        assert_eq!(windows, [0, 10], "window 20 counted only a reboot");
+        assert_eq!(k.counters().windows(svc).unwrap()[&20].reboots, 1);
+        let metrics = crate::MetricsSnapshot::from_kernel(&k);
+        assert_eq!(metrics.rows["counter"].reboots, 1);
     }
 
     #[test]
@@ -1464,7 +1366,7 @@ mod tests {
         let (mut k, _client, svc, _t) = setup();
         let r = k.upcall(svc, BOOT_THREAD, "get", &[]).unwrap();
         assert_eq!(r, Value::Int(0));
-        assert_eq!(k.stats().upcalls, 1);
+        assert_eq!(k.counters().upcalls, 1);
     }
 
     #[test]
@@ -1517,8 +1419,9 @@ mod tests {
         k.set_watchdog_budget(4);
         let err = k.invoke(client, t, svc, "go", &[]).unwrap_err();
         assert_eq!(err, CallError::Fault { component: svc });
-        assert_eq!(k.stats().total_watchdog_fires(), 1, "fired once, not 28×");
-        assert_eq!(k.stats().faults.get(&svc).copied().unwrap_or(0), 1);
+        let fires = k.counters().total(|r| r.watchdog_fires);
+        assert_eq!(fires, 1, "fired once, not 28×");
+        assert_eq!(k.counters().row(svc).map_or(0, |r| r.faults), 1);
     }
 
     #[test]

@@ -37,7 +37,7 @@
 // The pure state-machine core lives in the dependency-free
 // `composite-core` crate (`step(KernelState, Event) -> (KernelState,
 // Effects)` plus the property-based model checker); this crate is the
-// runtime shell — trace ring, metrics, service objects, executor — and
+// runtime shell — trace ring, counters, service objects, executor — and
 // re-exports the moved modules under their historical paths.
 pub use composite_core::{capability, error, ids, pages, rng, thread, time, value};
 
@@ -48,7 +48,6 @@ pub mod json;
 pub mod kernel;
 pub mod metrics;
 pub mod par;
-pub mod stats;
 pub mod store;
 pub mod telemetry;
 pub mod trace;
@@ -65,16 +64,13 @@ pub use intern::{DispatchTable, Interner, NameId};
 pub use json::Json;
 pub use kernel::{EscalationPolicy, InterfaceCall, Kernel, KernelAccess, BOOTER, BOOT_THREAD};
 pub use metrics::{
-    LatencyStat, Mechanism, MetricsRegistry, MetricsRow, MetricsSnapshot, MECHANISMS,
+    Counters, LatencyStat, Mechanism, MetricsRow, MetricsSnapshot, MECHANISMS,
     METRICS_SCHEMA_VERSION,
 };
 pub use par::{default_jobs, parallel_map_indexed};
 pub use rng::{mix, SplitMix64};
 pub use store::{EdgeMap, IdSlab};
-pub use telemetry::{
-    series_header, SeriesCell, SeriesSnapshot, Telemetry, DEFAULT_SERIES_WINDOW,
-    SERIES_SCHEMA_VERSION,
-};
+pub use telemetry::{series_header, SeriesSnapshot, DEFAULT_SERIES_WINDOW, SERIES_SCHEMA_VERSION};
 pub use thread::{RegisterFile, ThreadState, NUM_REGISTERS};
 pub use time::{CostModel, SimTime};
 pub use trace::{
@@ -82,3 +78,41 @@ pub use trace::{
     TraceShard, DEFAULT_TRACE_CAPACITY, MAX_EPISODE_DEPTH, TRACE_SCHEMA_VERSION,
 };
 pub use value::{ArgVec, Bytes, SmallStr, Value};
+
+/// Checks of the per-component run totals that [`Kernel::counters`]
+/// keeps.
+#[cfg(test)]
+mod stats {
+    mod tests {
+        use crate::metrics::tests::counted;
+        use crate::metrics::Count::{Fault, FaultedInvocation, Invocation, Reboot};
+        use crate::{ComponentId, MetricsRow};
+
+        #[test]
+        fn counters_accumulate() {
+            let counts = [Invocation, Invocation, Fault, Reboot, FaultedInvocation];
+            let t = counted(None, &counts.map(|what| (3, 0, what)));
+            let row = t.row(ComponentId(3)).expect("counted");
+            assert_eq!((row.invocations, row.faulted_invocations), (2, 1));
+            assert_eq!(t.total(|r| r.invocations), 2);
+            assert_eq!(t.total(|r| r.faults), 1);
+            assert_eq!(t.total(|r| r.reboots), 1);
+        }
+
+        #[test]
+        fn totals_span_components() {
+            let t = counted(None, &[(1, 0, Invocation), (2, 0, Invocation)]);
+            assert_eq!(t.total(|r| r.invocations), 2);
+        }
+
+        #[test]
+        fn counter_vec_equality_ignores_trailing_zeros() {
+            // A component never counted reads 0: below the highest id
+            // counted as an all-zero row, past it as no row.
+            let t = counted(None, &[(1, 0, Invocation), (5, 0, Invocation)]);
+            assert_eq!(t.row(ComponentId(2)), Some(&MetricsRow::default()));
+            assert_eq!(t.row(ComponentId(9)).map_or(0, |r| r.invocations), 0);
+            assert_eq!(t.row(ComponentId(5)).map(|r| r.invocations), Some(1));
+        }
+    }
+}

@@ -12,13 +12,15 @@
 //! routing of showstopper messages and **CR0** committed-cursor replay
 //! after an endpoint reboot. The recovery runtimes
 //! (`sg-c3` hand-written stubs and the `superglue` compiled-stub
-//! interpreter) increment these counters at the moment the mechanism
-//! fires; the harness binaries snapshot them per run and dump JSON-lines
-//! for offline analysis.
+//! interpreter) count each firing through `Kernel::record_mechanism` at
+//! the moment the mechanism fires; the harness binaries snapshot the
+//! counters per run and dump JSON-lines for offline analysis.
 //!
-//! The registry lives in the [`Kernel`] so that
-//! stubs (which only see a kernel handle) and services alike can reach
-//! it. Snapshots are keyed by component *name* — stable across testbed
+//! The [`Counters`] table lives in the [`Kernel`] so that stubs (which
+//! only see a kernel handle) and services alike can reach it. It holds
+//! one [`MetricsRow`] per component for the kernel's event counts and
+//! the mechanism counts alike, plus the `--series` window rows.
+//! Snapshots are keyed by component *name* — stable across testbed
 //! rebuilds and across the campaign shards whose merged totals must be
 //! bit-identical regardless of thread count.
 
@@ -176,80 +178,148 @@ impl LatencyStat {
     }
 }
 
-/// Live per-component mechanism counters, written on recovery hot paths.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct ComponentCounters {
-    mechanisms: [u64; 10],
-    recovery_latency: LatencyStat,
+/// One counted fact: the [`MetricsRow`] field a [`Counters::count`]
+/// call adds to.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Count {
+    Invocation,
+    FaultedInvocation,
+    Fault,
+    NestedFault,
+    Reboot,
+    ColdRestart,
+    WatchdogFire,
+    DegradedRejection,
+    /// `n` firings of one mechanism.
+    Mechanism(Mechanism, u64),
+    /// One recovery episode that took this long.
+    Latency(SimTime),
 }
 
-/// The registry the kernel carries. Recovery runtimes call
-/// [`MetricsRegistry::record`] at mechanism chokepoints; harnesses take
-/// [`MetricsSnapshot`]s. Counters are stored densely by component id so
-/// the mechanism chokepoint on the recovery hot path indexes an array
-/// rather than walking a tree.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricsRegistry {
-    per_component: Vec<ComponentCounters>,
+/// The kernel's one counters table: a dense [`MetricsRow`] of run
+/// totals per component id and, while the `--series` windows are on, a
+/// row per (component, window). One function writes both, so the
+/// series rows of a component sum to its totals.
+///
+/// The totals are always on and never derived from the windows: the
+/// harnesses turn the windows on after the kernel is built.
+#[derive(Debug, Default)]
+pub struct Counters {
+    totals: Vec<MetricsRow>,
+    /// Window width in simulated nanoseconds; 0 while the windows are
+    /// off.
+    window_ns: u64,
+    /// Window rows per component id, keyed by window index: window `w`
+    /// holds what was counted at times in `[w·W, (w+1)·W)`.
+    windows: Vec<BTreeMap<u64, MetricsRow>>,
+    /// Threads made runnable again, kernel-wide.
+    pub wakeups: u64,
+    /// Upcalls dispatched, kernel-wide.
+    pub upcalls: u64,
 }
 
-impl MetricsRegistry {
+impl Counters {
+    /// Count `what` on `c`: into its run totals, and, while the windows
+    /// are on, into the window holding `at`.
     #[inline]
-    fn slot(&mut self, c: ComponentId) -> &mut ComponentCounters {
+    pub(crate) fn count(&mut self, c: ComponentId, at: SimTime, what: Count) {
         let i = c.0 as usize;
-        if i >= self.per_component.len() {
-            self.per_component.resize_with(i + 1, Default::default);
+        if i >= self.totals.len() {
+            self.totals.resize_with(i + 1, MetricsRow::default);
         }
-        &mut self.per_component[i]
+        self.totals[i].add(what);
+        if let Some(w) = at.0.checked_div(self.window_ns) {
+            if i >= self.windows.len() {
+                self.windows.resize_with(i + 1, BTreeMap::new);
+            }
+            self.windows[i].entry(w).or_default().add(what);
+        }
     }
 
-    /// Count one firing of `m` attributed to component `c` (the failed /
-    /// recovering service).
-    pub fn record(&mut self, c: ComponentId, m: Mechanism) {
-        self.record_many(c, m, 1);
+    /// Turn the series windows on with the given width.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero window (it would put everything in window 0 of
+    /// an infinitely wide bucket — always a configuration bug).
+    pub(crate) fn enable_series(&mut self, window: SimTime) {
+        assert!(window.0 > 0, "telemetry window must be positive");
+        self.window_ns = window.0;
     }
 
-    /// Count `n` firings at once (e.g. T0 waking several threads).
-    pub fn record_many(&mut self, c: ComponentId, m: Mechanism, n: u64) {
-        self.slot(c).mechanisms[m.index()] += n;
+    /// The series window width in simulated nanoseconds (0 while off).
+    pub(crate) fn window_ns(&self) -> u64 {
+        self.window_ns
     }
 
-    /// Record the simulated time one recovery episode took on `c`.
-    pub fn record_recovery_latency(&mut self, c: ComponentId, d: SimTime) {
-        self.slot(c).recovery_latency.record(d);
-    }
-
-    /// Raw count for one component/mechanism (0 when never recorded).
+    /// The run totals of `c` (`None` past the highest id ever counted).
     #[must_use]
-    pub fn count(&self, c: ComponentId, m: Mechanism) -> u64 {
-        self.per_component
-            .get(c.0 as usize)
-            .map_or(0, |p| p.mechanisms[m.index()])
+    pub fn row(&self, c: ComponentId) -> Option<&MetricsRow> {
+        self.totals.get(c.0 as usize)
     }
 
-    pub(crate) fn component(&self, c: ComponentId) -> Option<&ComponentCounters> {
-        self.per_component.get(c.0 as usize)
+    /// `field` of the run totals, summed over every component.
+    pub fn total(&self, field: impl Fn(&MetricsRow) -> u64) -> u64 {
+        self.totals.iter().map(field).sum()
+    }
+
+    /// The window rows of `c`, keyed by window index.
+    pub(crate) fn windows(&self, c: ComponentId) -> Option<&BTreeMap<u64, MetricsRow>> {
+        self.windows.get(c.0 as usize)
     }
 }
 
-/// One component's row in a snapshot: kernel event counters joined with
-/// mechanism counters, keyed by component name.
+/// One component's counters, keyed by component name in a
+/// [`MetricsSnapshot`]: the run totals, or one series window's share of
+/// them. A `--series` row writes four of the fields: `invocations`,
+/// `faults`, `mechanisms` and `recovery_latency`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsRow {
+    /// Calls into the component whose service body returned `Ok`,
+    /// counted when the call returns; a series window holds the calls
+    /// that returned in it.
     pub invocations: u64,
+    /// Calls rejected because the component was faulty.
     pub faulted_invocations: u64,
+    /// Faults raised on the component, top-level and nested.
     pub faults: u64,
+    /// Micro-reboots of the component.
     pub reboots: u64,
+    /// Watchdog step-budget expirations converted into faults.
     pub watchdog_fires: u64,
+    /// Calls rejected fast because the component was degraded.
     pub degraded_rejections: u64,
+    /// Faults raised while another recovery was in flight.
     pub nested_faults: u64,
+    /// Cold restarts by the booter to clear a degraded mark.
     pub cold_restarts: u64,
+    /// Mechanism firings attributed to the component, indexed like
+    /// [`MECHANISMS`]; a series window holds the firings that started
+    /// in it.
     pub mechanisms: [u64; 10],
+    /// Simulated time of each recovery episode on the component; a
+    /// series window holds the episodes that started in it.
     pub recovery_latency: LatencyStat,
 }
 
 impl MetricsRow {
-    fn merge(&mut self, other: &MetricsRow) {
+    #[inline]
+    fn add(&mut self, what: Count) {
+        match what {
+            Count::Invocation => self.invocations += 1,
+            Count::FaultedInvocation => self.faulted_invocations += 1,
+            Count::Fault => self.faults += 1,
+            Count::NestedFault => self.nested_faults += 1,
+            Count::Reboot => self.reboots += 1,
+            Count::ColdRestart => self.cold_restarts += 1,
+            Count::WatchdogFire => self.watchdog_fires += 1,
+            Count::DegradedRejection => self.degraded_rejections += 1,
+            Count::Mechanism(m, n) => self.mechanisms[m.index()] += n,
+            Count::Latency(d) => self.recovery_latency.record(d),
+        }
+    }
+
+    pub(crate) fn merge(&mut self, other: &MetricsRow) {
         self.invocations += other.invocations;
         self.faulted_invocations += other.faulted_invocations;
         self.faults += other.faults;
@@ -263,6 +333,15 @@ impl MetricsRow {
         }
         self.recovery_latency.merge(&other.recovery_latency);
     }
+
+    /// Whether any of the four fields a `--series` row writes is
+    /// nonzero.
+    pub(crate) fn in_series(&self) -> bool {
+        self.invocations > 0
+            || self.faults > 0
+            || self.mechanisms.iter().any(|&m| m > 0)
+            || self.recovery_latency.count > 0
+    }
 }
 
 /// A point-in-time, name-resolved copy of every counter — plain data,
@@ -274,42 +353,21 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Snapshot every counter of `kernel`, resolving component ids to
-    /// names. Kernel event counters (invocations, faults, reboots) come
-    /// from [`Kernel::stats`]; mechanism counters from the registry.
+    /// Snapshot the run totals of `kernel`, resolving component ids to
+    /// names.
     #[must_use]
     pub fn from_kernel(kernel: &Kernel) -> Self {
         let mut rows: BTreeMap<String, MetricsRow> = BTreeMap::new();
-        let stats = kernel.stats();
-        let ids: Vec<ComponentId> = kernel.component_ids().collect();
-        for c in ids {
-            let Some(name) = kernel.component_name(c).map(str::to_owned) else {
+        for c in kernel.component_ids() {
+            let (Some(name), Some(row)) = (kernel.component_name(c), kernel.counters().row(c))
+            else {
                 continue;
             };
-            let row = rows.entry(name).or_default();
-            row.invocations += stats.invocations.get(&c).copied().unwrap_or(0);
-            row.faulted_invocations += stats.faulted_invocations.get(&c).copied().unwrap_or(0);
-            row.faults += stats.faults.get(&c).copied().unwrap_or(0);
-            row.reboots += stats.reboots.get(&c).copied().unwrap_or(0);
-            row.watchdog_fires += stats.watchdog_fires.get(&c).copied().unwrap_or(0);
-            row.degraded_rejections += stats.degraded_rejections.get(&c).copied().unwrap_or(0);
-            row.nested_faults += stats.nested_faults.get(&c).copied().unwrap_or(0);
-            row.cold_restarts += stats.cold_restarts.get(&c).copied().unwrap_or(0);
-            if let Some(p) = kernel.metrics().component(c) {
-                for (a, b) in row.mechanisms.iter_mut().zip(p.mechanisms.iter()) {
-                    *a += *b;
-                }
-                row.recovery_latency.merge(&p.recovery_latency);
-            }
+            rows.entry(name.to_owned()).or_default().merge(row);
         }
         // Drop all-zero rows (pure clients that never recovered) to keep
         // dumps focused on services.
-        rows.retain(|_, r| {
-            r.invocations + r.faulted_invocations + r.faults + r.reboots > 0
-                || r.watchdog_fires + r.degraded_rejections + r.nested_faults + r.cold_restarts > 0
-                || r.mechanisms.iter().any(|&m| m > 0)
-                || r.recovery_latency.count > 0
-        });
+        rows.retain(|_, r| *r != MetricsRow::default());
         Self { rows }
     }
 
@@ -377,19 +435,77 @@ fn row_json(context: &str, name: &str, row: &MetricsRow) -> Json {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Count `what` on `c` at time `at` in a fresh table.
+    pub(crate) fn counted(window: Option<u64>, counts: &[(u32, u64, Count)]) -> Counters {
+        let mut t = Counters::default();
+        if let Some(w) = window {
+            t.enable_series(SimTime(w));
+        }
+        for &(c, at, what) in counts {
+            t.count(ComponentId(c), SimTime(at), what);
+        }
+        t
+    }
 
     #[test]
     fn record_and_count() {
-        let mut r = MetricsRegistry::default();
-        let c = ComponentId(4);
-        r.record(c, Mechanism::R0);
-        r.record_many(c, Mechanism::T0, 3);
-        assert_eq!(r.count(c, Mechanism::R0), 1);
-        assert_eq!(r.count(c, Mechanism::T0), 3);
-        assert_eq!(r.count(c, Mechanism::U0), 0);
-        assert_eq!(r.count(ComponentId(9), Mechanism::R0), 0);
+        let c = 4;
+        let t = counted(
+            None,
+            &[
+                (c, 5, Count::Mechanism(Mechanism::R0, 1)),
+                (c, 5, Count::Mechanism(Mechanism::T0, 3)),
+            ],
+        );
+        let row = t.row(ComponentId(c)).expect("counted");
+        assert_eq!(row.mechanisms[Mechanism::R0.index()], 1);
+        assert_eq!(row.mechanisms[Mechanism::T0.index()], 3);
+        assert_eq!(row.mechanisms[Mechanism::U0.index()], 0);
+        assert_eq!(t.row(ComponentId(9)).map_or(0, |r| r.mechanisms[0]), 0);
+    }
+
+    /// Random counts of every kind at random times, with the series on
+    /// from the start: each component's window rows sum to its totals,
+    /// field by field, and a window holding only fields the series
+    /// omits is not a series row (`SeriesSnapshot::from_kernel` skips
+    /// it; `kernel::tests::reboot_only_window_has_no_series_row`).
+    #[test]
+    fn window_rows_sum_to_totals() {
+        let mut rng = crate::SplitMix64::new(0xC0_4E75);
+        let mut counts = Vec::new();
+        for _ in 0..5_000 {
+            let c = rng.gen_range(6) as u32;
+            let at = rng.gen_range(50_000);
+            let what = match rng.gen_range(10) {
+                0 => Count::Invocation,
+                1 => Count::FaultedInvocation,
+                2 => Count::Fault,
+                3 => Count::NestedFault,
+                4 => Count::Reboot,
+                5 => Count::ColdRestart,
+                6 => Count::WatchdogFire,
+                7 => Count::DegradedRejection,
+                8 => Count::Mechanism(MECHANISMS[rng.gen_index(10)], rng.gen_range(4)),
+                _ => Count::Latency(SimTime(rng.gen_range(1 << 20))),
+            };
+            counts.push((c, at, what));
+        }
+        // One window past the others that counts only a reboot.
+        counts.push((1, 1_000_000, Count::Reboot));
+        let t = counted(Some(1_000), &counts);
+        for c in (0..6).map(ComponentId) {
+            let mut sum = MetricsRow::default();
+            for row in t.windows(c).expect("counted").values() {
+                sum.merge(row);
+            }
+            assert_eq!(Some(&sum), t.row(c), "component {c:?}");
+        }
+        let reboot_only = &t.windows(ComponentId(1)).expect("counted")[&1_000];
+        assert_eq!(reboot_only.reboots, 1);
+        assert!(!reboot_only.in_series());
     }
 
     #[test]

@@ -107,16 +107,16 @@ fn waking_a_runnable_thread_is_a_noop() {
     let mut k = Kernel::with_costs(CostModel::free());
     let app = k.add_client_component("app");
     let t = k.create_thread(app, Priority(5));
-    let wakeups_before = k.stats().wakeups;
+    let wakeups_before = k.counters().wakeups;
     k.wake_thread(t).unwrap();
-    assert_eq!(k.stats().wakeups, wakeups_before);
+    assert_eq!(k.counters().wakeups, wakeups_before);
 }
 
 #[test]
 fn fault_on_unknown_component_is_ignored() {
     let mut k = Kernel::new();
     k.fault(ComponentId(77)); // must not panic
-    assert_eq!(k.stats().total_faults(), 0);
+    assert_eq!(k.counters().total(|r| r.faults), 0);
 }
 
 #[test]

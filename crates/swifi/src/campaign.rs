@@ -562,8 +562,8 @@ pub fn run_shard(iface: &'static str, cfg: &CampaignConfig, shard: usize) -> Cam
                 CampaignMode::Burst { flips } => flips,
                 _ => 1,
             };
-            let wd_before = ctx.kernel().stats().total_watchdog_fires();
-            let nested_before = ctx.kernel().stats().total_nested_faults()
+            let wd_before = ctx.kernel().counters().total(|r| r.watchdog_fires);
+            let nested_before = ctx.kernel().counters().total(|r| r.nested_faults)
                 + ctx.tb.runtime.stats().nested_recoveries;
             let mut needs_settle = false;
             let mut finals: Option<Outcome> = None;
@@ -638,10 +638,10 @@ pub fn run_shard(iface: &'static str, cfg: &CampaignConfig, shard: usize) -> Cam
             // with its injection.
             ctx.kernel_mut().disarm_recovery_fault();
             row.record(outcome);
-            if ctx.kernel().stats().total_watchdog_fires() > wd_before {
+            if ctx.kernel().counters().total(|r| r.watchdog_fires) > wd_before {
                 row.watchdog_detected += 1;
             }
-            let nested_now = ctx.kernel().stats().total_nested_faults()
+            let nested_now = ctx.kernel().counters().total(|r| r.nested_faults)
                 + ctx.tb.runtime.stats().nested_recoveries;
             if nested_now > nested_before && outcome == Outcome::Recovered {
                 row.nested_recovered += 1;

@@ -264,8 +264,9 @@ fn run_phase_unit(phase: PipelinePhase, cfg: &PipelineCampaignConfig, rep: u64) 
     // unit.
     ctx.kernel_mut().disarm_recovery_fault();
 
-    let nested =
-        ctx.kernel().stats().total_nested_faults() + ctx.runtime.stats().nested_recoveries > 0;
+    let nested = ctx.kernel().counters().total(|r| r.nested_faults)
+        + ctx.runtime.stats().nested_recoveries
+        > 0;
     let unrecovered = ctx.runtime.stats().unrecovered;
     let metrics = MetricsSnapshot::from_kernel(ctx.runtime.kernel());
     let series = SeriesSnapshot::from_kernel(ctx.runtime.kernel());

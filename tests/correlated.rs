@@ -110,7 +110,7 @@ fn watchdog_disabled_lets_long_calls_finish() {
     let (mut k, client, svc, t) = spinny_kernel();
     assert_eq!(k.watchdog_budget(), 0);
     assert_eq!(k.invoke(client, t, svc, "spin", &[]).unwrap(), Value::Unit);
-    assert_eq!(k.stats().total_watchdog_fires(), 0);
+    assert_eq!(k.counters().total(|r| r.watchdog_fires), 0);
 }
 
 #[test]
@@ -121,7 +121,7 @@ fn watchdog_detects_hung_call_and_service_recovers() {
     // The hung call is converted into a detected fail-stop fault.
     let err = k.invoke(client, t, svc, "spin", &[]).unwrap_err();
     assert_eq!(err, CallError::Fault { component: svc });
-    assert_eq!(k.stats().total_watchdog_fires(), 1);
+    assert_eq!(k.counters().total(|r| r.watchdog_fires), 1);
     assert!(k.is_faulty(svc));
 
     // ... after which the ordinary micro-reboot recovery applies.
@@ -153,12 +153,12 @@ fn reboot_storm_degrades_and_booter_cold_restart_clears() {
     // Clients fail fast while the mark holds.
     let err = k.invoke(client, t, svc, "ping", &[]).unwrap_err();
     assert!(matches!(err, CallError::Degraded { .. }));
-    assert!(k.stats().total_degraded_rejections() >= 1);
+    assert!(k.counters().total(|r| r.degraded_rejections) >= 1);
 
     // The booter's explicit cold restart clears the mark and history.
     k.cold_restart(svc).unwrap();
     assert!(!k.is_degraded(svc));
-    assert_eq!(k.stats().total_cold_restarts(), 1);
+    assert_eq!(k.counters().total(|r| r.cold_restarts), 1);
     assert_eq!(
         k.invoke(client, t, svc, "ping", &[]).unwrap(),
         Value::Int(1)
@@ -185,7 +185,7 @@ fn expired_degraded_mark_cold_restarts_on_next_invoke() {
         k.invoke(client, t, svc, "ping", &[]).unwrap(),
         Value::Int(1)
     );
-    assert_eq!(k.stats().total_cold_restarts(), 1);
+    assert_eq!(k.counters().total(|r| r.cold_restarts), 1);
     assert!(!k.is_degraded(svc));
 }
 
@@ -257,7 +257,7 @@ fn fault_during_recovery_opens_child_episode_and_recovers() {
     let (r, shard) = nested_scenario();
     let kernel = r.tb.runtime.kernel();
     assert!(
-        kernel.stats().total_nested_faults() >= 1,
+        kernel.counters().total(|r| r.nested_faults) >= 1,
         "the armed fault must land while recovery is in flight"
     );
     assert!(
@@ -286,7 +286,7 @@ fn episode_depth_is_clamped_under_repeated_nested_faults() {
         k.micro_reboot(svc).unwrap();
     }
     k.end_recovery(svc);
-    assert_eq!(k.stats().total_nested_faults(), u64::from(rounds));
+    assert_eq!(k.counters().total(|r| r.nested_faults), u64::from(rounds));
 
     let shard = k.take_trace("clamp");
     let (_, max_depth) = check_tree_conservation(&shard);

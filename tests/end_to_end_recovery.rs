@@ -192,7 +192,7 @@ fn recovery_statistics_are_consistent() {
     // Every reboot must be observed as a handled fault by the kernel too.
     assert_eq!(
         s.faults_handled,
-        tb.runtime.kernel().stats().total_reboots()
+        tb.runtime.kernel().counters().total(|r| r.reboots)
     );
     // Recovery implies walk replays (some descriptors need zero-step
     // walks, so >= not ==).

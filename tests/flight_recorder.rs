@@ -3,8 +3,8 @@
 //! Three properties the kernel flight recorder must keep:
 //!
 //! 1. **Counters == trace.** Every mechanism firing goes through the
-//!    single `Kernel::record_mechanism` choke point, which increments
-//!    the `MetricsRegistry` *and* emits the matching trace event — so
+//!    single `Kernel::record_mechanism` choke point, which counts it in
+//!    the kernel's `Counters` *and* emits the matching trace event — so
 //!    for every mechanism, the counter total and the sum of traced `n`
 //!    values must agree exactly.
 //! 2. **Latency conservation.** For every recovery episode, the timed

@@ -226,6 +226,18 @@ fn bad_flags_exit_2_before_any_work() {
         ),
         ("sgstat", &["avail", "missing.jsonl"], "missing.jsonl"),
         (
+            "sgstat",
+            &["agree", "missing.jsonl", "--trace", trace],
+            "missing.jsonl",
+        ),
+        (
+            "sgstat",
+            &["agree", trace, "--trace", trace, "--bogus"],
+            "--bogus",
+        ),
+        ("sgstat", &["agree", trace, "--series"], "--series"),
+        ("sgstat", &["agree", trace], "--series or --trace"),
+        (
             "table2",
             &["--injections", "1", "--json", "no-such-dir/r.json"],
             "cannot write no-such-dir/r.json",

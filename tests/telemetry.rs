@@ -13,14 +13,15 @@
 //!    metrics, and trace are three views of the same event stream:
 //!    fault totals, recovery-latency totals, and downtime must agree
 //!    exactly between them.
-//! 3. **Window semantics.** Telemetry windows index simulated time from
+//! 3. **Window semantics.** Series windows index simulated time from
 //!    virtual 0, so every shard buckets the same post-boot interval and
 //!    shard merges are well defined.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use composite::{
-    shards_to_jsonl, SeriesSnapshot, SimTime, DEFAULT_SERIES_WINDOW, MECHANISMS,
+    shards_to_jsonl, MetricsRow, SeriesSnapshot, SimTime, DEFAULT_SERIES_WINDOW, MECHANISMS,
     SERIES_SCHEMA_VERSION,
 };
 use sg_bench::stat::{
@@ -107,7 +108,7 @@ fn series_parses_back_and_matches_snapshot_totals() {
 }
 
 /// The series, metrics, and trace are three renderings of one event
-/// stream — their totals must agree exactly.
+/// stream — they must agree exactly, per component.
 #[test]
 fn series_metrics_and_trace_totals_agree() {
     let cfg = CampaignConfig {
@@ -120,62 +121,55 @@ fn series_metrics_and_trace_totals_agree() {
     };
     let result = run_campaign_parallel("lock", &cfg, 3);
 
-    // Series faults == metrics faults, per component and in total.
-    let mut series_faults = 0u64;
-    let mut series_latency_ns = 0u64;
-    let mut series_mechs = [0u64; MECHANISMS.len()];
-    for cell in result.series.rows.values() {
-        series_faults += cell.faults;
-        series_latency_ns += cell.recovery_latency.total_ns;
-        for (t, m) in series_mechs.iter_mut().zip(cell.mechanisms.iter()) {
-            *t += m;
+    // What a series row writes: invocations, faults, the recovery-latency
+    // count and total, then each mechanism.
+    let fields = |r: &MetricsRow| {
+        let lat = &r.recovery_latency;
+        let mut v = vec![r.invocations, r.faults, lat.count, lat.total_ns];
+        v.extend(r.mechanisms);
+        v
+    };
+    // Series windows summed per component == that component's metrics
+    // row, field by field.
+    let mut series: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
+    for ((name, _), row) in &result.series.rows {
+        let sum = series
+            .entry(name)
+            .or_insert_with(|| vec![0; 4 + MECHANISMS.len()]);
+        for (s, n) in sum.iter_mut().zip(fields(row)) {
+            *s += n;
         }
     }
-    let metrics_faults: u64 = result
+    let metrics: BTreeMap<&str, Vec<u64>> = result
         .metrics
         .rows
         .iter()
-        .filter(|(name, _)| name.as_str() != "*total*")
-        .map(|(_, row)| row.faults)
-        .sum();
-    let metrics_latency_ns: u64 = result
-        .metrics
-        .rows
-        .iter()
-        .filter(|(name, _)| name.as_str() != "*total*")
-        .map(|(_, row)| row.recovery_latency.total_ns)
-        .sum();
-    let metrics_mechs: Vec<u64> = MECHANISMS
-        .iter()
-        .map(|m| {
-            result
-                .metrics
-                .rows
-                .iter()
-                .filter(|(name, _)| name.as_str() != "*total*")
-                .map(|(_, row)| row.mechanisms[m.index()])
-                .sum()
-        })
+        .map(|(name, row)| (name.as_str(), fields(row)))
+        .filter(|(_, v)| v.iter().any(|&n| n > 0))
         .collect();
-    assert_eq!(series_faults, metrics_faults, "fault totals diverge");
-    assert_eq!(
-        series_latency_ns, metrics_latency_ns,
-        "recovery-latency totals diverge"
-    );
-    assert_eq!(series_mechs.as_slice(), metrics_mechs.as_slice());
+    assert_eq!(series, metrics, "per-component series sums diverge");
+    let lock = &metrics["lock"];
+    assert!(lock[..4].iter().all(|&n| n > 0), "lock recovered: {lock:?}");
 
-    // Trace-side: downtime conservation plus fault-event agreement.
+    // Trace-side: downtime conservation plus per-component fault events.
     let jsonl = shards_to_jsonl(&result.trace);
     let shards = parse_trace_text(&jsonl).expect("trace parses");
     let report = avail_report(&shards);
     match report.conservation() {
         Conservation::Ok => {
-            let trace_faults: usize = shards
+            let mut trace_faults: BTreeMap<&str, u64> = BTreeMap::new();
+            for shard in &shards {
+                for ev in shard.events.iter().filter(|e| e.kind == "fault") {
+                    *trace_faults.entry(shard.name(ev.comp)).or_default() += 1;
+                }
+            }
+            let series_faults: BTreeMap<&str, u64> = series
                 .iter()
-                .map(|s| s.events.iter().filter(|e| e.kind == "fault").count())
-                .sum();
+                .filter(|(_, v)| v[1] > 0)
+                .map(|(&name, v)| (name, v[1]))
+                .collect();
             assert_eq!(
-                trace_faults as u64, series_faults,
+                trace_faults, series_faults,
                 "trace fault events diverge from series fault totals"
             );
             let downtime: u64 = report.components.values().map(|c| c.downtime_ns).sum();
@@ -291,13 +285,13 @@ fn merging_mismatched_windows_panics() {
     };
     // Insert a row into each so neither merge side is the empty
     // identity.
-    let cell = composite::SeriesCell {
+    let row = MetricsRow {
         invocations: 1,
-        ..composite::SeriesCell::default()
+        ..MetricsRow::default()
     };
-    b.rows.insert(("x".to_owned(), 0), cell.clone());
+    b.rows.insert(("x".to_owned(), 0), row.clone());
     let mut a = a;
-    a.rows.insert(("x".to_owned(), 0), cell);
+    a.rows.insert(("x".to_owned(), 0), row);
     a.merge(&b);
 }
 
