@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use composite::{
     default_jobs, parallel_map_indexed, CostModel, InterfaceCall as _, Kernel, KernelAccess as _,
-    Priority, SeriesSnapshot, SimTime, TraceShard, Value, DEFAULT_SERIES_WINDOW,
+    Mechanism, Priority, SeriesSnapshot, SimTime, TraceShard, Value, DEFAULT_SERIES_WINDOW,
     DEFAULT_TRACE_CAPACITY,
 };
 use sg_bench::{Artifacts, HarnessArgs};
@@ -80,7 +80,8 @@ fn ablation_policy(opts: &AblationOpts) -> AblationOutput {
             )
             .expect("take");
         let first_us = start.elapsed().as_secs_f64() * 1e6;
-        let recovered = tb.runtime.stats().descriptors_recovered;
+        let counters = tb.runtime.kernel().counters();
+        let recovered = counters.total(|r| r.mechanisms[Mechanism::R0.index()]);
         let _ = writeln!(
             out,
             "  {policy:?}: first request served after {first_us:8.1} us wall  \

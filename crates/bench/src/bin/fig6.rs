@@ -93,11 +93,11 @@ fn iteration_us(variant: Variant, iface: &str, elide: bool) -> Meas {
     for _ in 0..REPS {
         let mut r: Rig = rig_elided(variant, elide);
         for seq in 0..200 {
-            r.run_iteration(iface, seq);
+            r.run_iteration(iface, seq).expect("iteration");
         }
         let start = Instant::now();
         for seq in 0..BATCH {
-            r.run_iteration(iface, 1_000 + seq);
+            r.run_iteration(iface, 1_000 + seq).expect("iteration");
         }
         let total = start.elapsed().as_secs_f64() * 1e6;
         samples.push(total / BATCH as f64);

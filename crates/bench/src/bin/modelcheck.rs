@@ -34,7 +34,9 @@
 use std::process::ExitCode;
 
 use composite::{run_check, CheckConfig, Counterexample, Json, KernelWalk};
-use sg_bench::modelck::{event_to_json, sysop_to_json, ElideDiffWalk, SystemWalk};
+use sg_bench::modelck::{
+    event_to_json, sysop_to_json, ElideDiffWalk, SystemWalk, ELIDE_SEED_MIX, SYSTEM_SEED_MIX,
+};
 use sg_bench::{Artifacts, HarnessArgs};
 
 const USAGE: &str = "usage: modelcheck [--core-steps N] [--system-steps N] [--elide-steps N] \
@@ -126,7 +128,7 @@ fn main() -> ExitCode {
         let report = run_check(
             &mut walk,
             &CheckConfig {
-                seed: seed ^ 0x5157_EA11, // distinct stream, same reproducibility
+                seed: seed ^ SYSTEM_SEED_MIX,
                 steps: system_steps,
                 max_shrink_iters: 400,
             },
@@ -160,7 +162,7 @@ fn main() -> ExitCode {
         let report = run_check(
             &mut walk,
             &CheckConfig {
-                seed: seed ^ 0xE11D_E0FF, // distinct stream, same reproducibility
+                seed: seed ^ ELIDE_SEED_MIX,
                 steps: elide_steps,
                 max_shrink_iters: 400,
             },

@@ -16,7 +16,7 @@ pub mod stat;
 
 pub use cli::{analyzer_exit, series_to_jsonl, Artifacts, HarnessArgs};
 
-use composite::{ComponentId, InterfaceCall as _, Priority, ThreadId, Value};
+use composite::{CallError, ComponentId, InterfaceCall as _, Priority, ThreadId, Value};
 use sg_c3::FtRuntime;
 use superglue::testbed::{Testbed, Variant};
 
@@ -99,11 +99,17 @@ impl Rig {
     /// the Fig 6(a) tracking-overhead measurements (real wall-clock
     /// timing wraps this).
     ///
+    /// # Errors
+    ///
+    /// The first call the system under test rejects, such as a
+    /// [`CallError::Degraded`] fail-fast once a reboot storm has
+    /// degraded the service.
+    ///
     /// # Panics
     ///
-    /// Panics when the system under test rejects the workload (covered
-    /// by tests for every variant).
-    pub fn run_iteration(&mut self, iface: &str, seq: u64) -> u32 {
+    /// Panics on an unknown interface, or when a creation call returns
+    /// a non-integer descriptor.
+    pub fn run_iteration(&mut self, iface: &str, seq: u64) -> Result<u32, CallError> {
         let rt: &mut FtRuntime = &mut self.tb.runtime;
         let app = self.tb.ids.app1;
         let t = self.thread;
@@ -112,37 +118,29 @@ impl Rig {
             "sched" => {
                 let svc = self.tb.ids.sched;
                 let d = Value::from(t.0);
-                rt.interface_call(app, t, svc, "sched_setup", &[compid.clone(), d.clone()])
-                    .expect("setup");
-                rt.interface_call(app, t, svc, "sched_wakeup", &[compid.clone(), d.clone()])
-                    .expect("wakeup");
+                rt.interface_call(app, t, svc, "sched_setup", &[compid.clone(), d.clone()])?;
+                rt.interface_call(app, t, svc, "sched_wakeup", &[compid.clone(), d.clone()])?;
                 // The pending wakeup makes this blk non-blocking.
-                rt.interface_call(app, t, svc, "sched_blk", &[compid.clone(), d.clone()])
-                    .expect("blk");
-                rt.interface_call(app, t, svc, "sched_exit", &[compid, d])
-                    .expect("exit");
-                4
+                rt.interface_call(app, t, svc, "sched_blk", &[compid.clone(), d.clone()])?;
+                rt.interface_call(app, t, svc, "sched_exit", &[compid, d])?;
+                Ok(4)
             }
             "lock" => {
                 let svc = self.tb.ids.lock;
                 let id = rt
-                    .interface_call(app, t, svc, "lock_alloc", std::slice::from_ref(&compid))
-                    .expect("alloc")
+                    .interface_call(app, t, svc, "lock_alloc", std::slice::from_ref(&compid))?
                     .int()
                     .expect("id");
-                rt.interface_call(app, t, svc, "lock_take", &[compid.clone(), Value::Int(id)])
-                    .expect("take");
+                rt.interface_call(app, t, svc, "lock_take", &[compid.clone(), Value::Int(id)])?;
                 rt.interface_call(
                     app,
                     t,
                     svc,
                     "lock_release",
                     &[compid.clone(), Value::Int(id)],
-                )
-                .expect("release");
-                rt.interface_call(app, t, svc, "lock_free", &[compid, Value::Int(id)])
-                    .expect("free");
-                4
+                )?;
+                rt.interface_call(app, t, svc, "lock_free", &[compid, Value::Int(id)])?;
+                Ok(4)
             }
             "evt" => {
                 let svc = self.tb.ids.evt;
@@ -153,8 +151,7 @@ impl Rig {
                         svc,
                         "evt_split",
                         &[compid.clone(), Value::Int(0), Value::Int(1)],
-                    )
-                    .expect("split")
+                    )?
                     .int()
                     .expect("id");
                 rt.interface_call(
@@ -163,14 +160,11 @@ impl Rig {
                     svc,
                     "evt_trigger",
                     &[compid.clone(), Value::Int(id)],
-                )
-                .expect("trigger");
+                )?;
                 // Pending trigger: the wait returns immediately.
-                rt.interface_call(app, t, svc, "evt_wait", &[compid.clone(), Value::Int(id)])
-                    .expect("wait");
-                rt.interface_call(app, t, svc, "evt_free", &[compid, Value::Int(id)])
-                    .expect("free");
-                4
+                rt.interface_call(app, t, svc, "evt_wait", &[compid.clone(), Value::Int(id)])?;
+                rt.interface_call(app, t, svc, "evt_free", &[compid, Value::Int(id)])?;
+                Ok(4)
             }
             "tmr" => {
                 let svc = self.tb.ids.tmr;
@@ -181,8 +175,7 @@ impl Rig {
                         svc,
                         "tmr_create",
                         &[compid.clone(), Value::Int(1_000_000)],
-                    )
-                    .expect("create")
+                    )?
                     .int()
                     .expect("id");
                 rt.interface_call(
@@ -191,11 +184,9 @@ impl Rig {
                     svc,
                     "tmr_period",
                     &[compid.clone(), Value::Int(id), Value::Int(2_000_000)],
-                )
-                .expect("period");
-                rt.interface_call(app, t, svc, "tmr_free", &[compid, Value::Int(id)])
-                    .expect("free");
-                3
+                )?;
+                rt.interface_call(app, t, svc, "tmr_free", &[compid, Value::Int(id)])?;
+                Ok(3)
             }
             "mm" => {
                 let svc = self.tb.ids.mm;
@@ -207,8 +198,7 @@ impl Rig {
                         svc,
                         "mman_get_page",
                         &[compid.clone(), Value::Int(vaddr as i64)],
-                    )
-                    .expect("get")
+                    )?
                     .int()
                     .expect("key");
                 rt.interface_call(
@@ -222,17 +212,15 @@ impl Rig {
                         Value::from(self.tb.ids.app2.0),
                         Value::Int(0x8_0000_0000u64 as i64 + vaddr as i64),
                     ],
-                )
-                .expect("alias");
+                )?;
                 rt.interface_call(
                     app,
                     t,
                     svc,
                     "mman_release_page",
                     &[compid, Value::Int(root)],
-                )
-                .expect("release");
-                3
+                )?;
+                Ok(3)
             }
             "fs" => {
                 let svc = self.tb.ids.fs;
@@ -244,8 +232,7 @@ impl Rig {
                         svc,
                         "tsplit",
                         &[compid.clone(), Value::Int(0), Value::from(path.as_str())],
-                    )
-                    .expect("split")
+                    )?
                     .int()
                     .expect("fd");
                 rt.interface_call(
@@ -254,27 +241,23 @@ impl Rig {
                     svc,
                     "twrite",
                     &[compid.clone(), Value::Int(fd), Value::from(vec![0x42])],
-                )
-                .expect("write");
+                )?;
                 rt.interface_call(
                     app,
                     t,
                     svc,
                     "tseek",
                     &[compid.clone(), Value::Int(fd), Value::Int(0)],
-                )
-                .expect("seek");
+                )?;
                 rt.interface_call(
                     app,
                     t,
                     svc,
                     "tread",
                     &[compid.clone(), Value::Int(fd), Value::Int(1)],
-                )
-                .expect("read");
-                rt.interface_call(app, t, svc, "trelease", &[compid, Value::Int(fd)])
-                    .expect("release");
-                5
+                )?;
+                rt.interface_call(app, t, svc, "trelease", &[compid, Value::Int(fd)])?;
+                Ok(5)
             }
             other => panic!("unknown interface {other:?}"),
         }
@@ -468,7 +451,7 @@ mod tests {
             let mut r = rig(variant);
             for iface in SERVICES {
                 for seq in 0..3 {
-                    r.run_iteration(iface, seq);
+                    r.run_iteration(iface, seq).unwrap();
                 }
             }
         }

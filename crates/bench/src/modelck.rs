@@ -35,9 +35,9 @@
 //! artifacts and `sgtrace replay` uses to time-travel through them.
 
 use composite::{
-    ComponentId, CostModel, EscalationPolicy, Event, Json, KernelAccess as _, MetricsSnapshot,
-    Model, Priority, SimTime, SplitMix64, ThreadId, TraceEventKind, TraceShard, Violation,
-    DEFAULT_TRACE_CAPACITY, MAX_EPISODE_DEPTH, MECHANISMS,
+    CallError, ComponentId, CostModel, EscalationPolicy, Event, InterfaceCall as _, Json,
+    KernelAccess as _, MetricsSnapshot, Model, Priority, SimTime, SplitMix64, ThreadId,
+    TraceEventKind, TraceShard, Violation, DEFAULT_TRACE_CAPACITY, MAX_EPISODE_DEPTH, MECHANISMS,
 };
 use superglue::testbed::Variant;
 
@@ -91,6 +91,11 @@ pub struct SystemWalk {
     seq: u64,
 }
 
+/// XORed into `modelcheck --seed` for the system walk's own stream.
+pub const SYSTEM_SEED_MIX: u64 = 0x5157_EA11;
+/// XORed into `modelcheck --seed` for the elision walk's own stream.
+pub const ELIDE_SEED_MIX: u64 = 0xE11D_E0FF;
+
 /// The storm policy the walk arms: tight enough that repeated fault
 /// injections actually trip escalation, short enough that degraded
 /// cooldowns elapse within a walk's time advances.
@@ -122,10 +127,6 @@ impl SystemWalk {
         k.set_escalation(walk_escalation());
         k.enable_tracing(DEFAULT_TRACE_CAPACITY);
         self.baseline_tracked = self.rig.tb.total_tracked();
-    }
-
-    fn service_of(&self, iface: usize) -> ComponentId {
-        self.rig.component_of(SERVICES[iface])
     }
 
     /// The worker threads whose runnability invariant 1 asserts.
@@ -255,60 +256,63 @@ impl Model for SystemWalk {
     }
 
     fn apply(&mut self, op: &SysOp) -> Result<(), Violation> {
-        match *op {
-            SysOp::Iteration { iface, seq } => {
-                let svc = self.service_of(iface);
-                let k = self.rig.tb.runtime.kernel();
-                if k.is_degraded(svc) {
-                    // Degraded fail-fast window: the workload cannot run;
-                    // assert the rejection is what clients actually see.
-                    let app = self.rig.tb.ids.app1;
-                    let t = self.rig.thread;
-                    let compid = composite::Value::from(app.0);
-                    let err = composite::InterfaceCall::interface_call(
-                        &mut self.rig.tb.runtime,
-                        app,
-                        t,
-                        svc,
-                        probe_fn(iface),
-                        &[compid],
-                    );
-                    if !matches!(err, Err(composite::CallError::Degraded { .. })) {
-                        return Err(Violation {
-                            invariant: "state-effect-agreement",
-                            detail: format!(
-                                "{} is degraded but a call returned {err:?}",
-                                SERVICES[iface]
-                            ),
-                        });
-                    }
-                } else {
-                    self.rig.run_iteration(SERVICES[iface], seq);
-                }
-            }
-            SysOp::Fault { iface } => {
-                let svc = self.service_of(iface);
-                self.rig.tb.runtime.inject_fault(svc);
-            }
-            SysOp::ArmNestedFault { iface } => {
-                let svc = self.service_of(iface);
-                self.rig
-                    .tb
-                    .runtime
-                    .kernel_mut()
-                    .arm_fault_during_recovery(svc);
-            }
-            SysOp::Advance { dt } => {
-                let now = self.rig.tb.runtime.kernel().now();
-                self.rig
-                    .tb
-                    .runtime
-                    .kernel_mut()
-                    .advance_to(now + SimTime(dt));
-            }
-        }
+        apply_op(&mut self.rig, op).map_err(|detail| Violation {
+            invariant: "state-effect-agreement",
+            detail,
+        })?;
         self.check_step_invariants()
     }
+}
+
+/// Apply one operation to a rig. Returns the `Degraded` rejection a
+/// workload iteration met, if any: the service was degraded before the
+/// iteration, or a reboot storm degraded it during the iteration. Any
+/// other rejection, or a degraded service that accepts a call, is the
+/// `Err` detail.
+fn apply_op(r: &mut Rig, op: &SysOp) -> Result<Option<CallError>, String> {
+    match *op {
+        SysOp::Iteration { iface, seq } => {
+            let svc = r.component_of(SERVICES[iface]);
+            let degraded = r.tb.runtime.kernel().is_degraded(svc);
+            let result = if degraded {
+                // Degraded fail-fast window: the workload cannot run;
+                // probe what clients actually see.
+                let app = r.tb.ids.app1;
+                let compid = composite::Value::from(app.0);
+                let probe = probe_fn(iface);
+                r.tb.runtime
+                    .interface_call(app, r.thread, svc, probe, &[compid])
+                    .map(|_| 0)
+            } else {
+                r.run_iteration(SERVICES[iface], seq)
+            };
+            let now_degraded = |c| r.tb.runtime.kernel().is_degraded(c);
+            return match result {
+                Ok(_) if !degraded => Ok(None),
+                Err(e @ CallError::Degraded { component }) if now_degraded(component) => {
+                    Ok(Some(e))
+                }
+                other => Err(format!(
+                    "{} was {} but a call returned {other:?}",
+                    SERVICES[iface],
+                    if degraded { "degraded" } else { "healthy" }
+                )),
+            };
+        }
+        SysOp::Fault { iface } => {
+            let svc = r.component_of(SERVICES[iface]);
+            r.tb.runtime.inject_fault(svc);
+        }
+        SysOp::ArmNestedFault { iface } => {
+            let svc = r.component_of(SERVICES[iface]);
+            r.tb.runtime.kernel_mut().arm_fault_during_recovery(svc);
+        }
+        SysOp::Advance { dt } => {
+            let now = r.tb.runtime.kernel().now();
+            r.tb.runtime.kernel_mut().advance_to(now + SimTime(dt));
+        }
+    }
+    Ok(None)
 }
 
 /// The shared operation distribution of [`SystemWalk`] and
@@ -344,9 +348,11 @@ fn random_sysop(rng: &mut SplitMix64, seq: &mut u64) -> SysOp {
 /// identical operation sequence — one interpreting the fully tracked
 /// stub specs, one the certified tracking-elision fast paths — and
 /// asserts after every operation that they are observationally
-/// indistinguishable: same simulated time, same runtime statistics
-/// (including invalid-transition detections and recovery counts), same
-/// per-edge tracked/faulty descriptor sets, same degraded windows. At
+/// indistinguishable: same call results, same simulated time, same
+/// runtime statistics (including invalid-transition detections), same
+/// kernel counters (every mechanism count, fault, reboot and recovery
+/// latency), same per-edge tracked/faulty descriptor sets, same
+/// degraded windows. At
 /// [`ElideDiffWalk::finish`] the two flight-recorder traces must render
 /// to byte-identical JSON-lines.
 ///
@@ -384,49 +390,6 @@ impl ElideDiffWalk {
         }
     }
 
-    /// Apply one operation to a single rig (the same op goes to both).
-    fn apply_one(r: &mut Rig, op: &SysOp) -> Result<(), String> {
-        match *op {
-            SysOp::Iteration { iface, seq } => {
-                let svc = r.component_of(SERVICES[iface]);
-                if r.tb.runtime.kernel().is_degraded(svc) {
-                    let app = r.tb.ids.app1;
-                    let t = r.thread;
-                    let compid = composite::Value::from(app.0);
-                    let err = composite::InterfaceCall::interface_call(
-                        &mut r.tb.runtime,
-                        app,
-                        t,
-                        svc,
-                        probe_fn(iface),
-                        &[compid],
-                    );
-                    if !matches!(err, Err(composite::CallError::Degraded { .. })) {
-                        return Err(format!(
-                            "{} degraded but call returned {err:?}",
-                            SERVICES[iface]
-                        ));
-                    }
-                } else {
-                    r.run_iteration(SERVICES[iface], seq);
-                }
-            }
-            SysOp::Fault { iface } => {
-                let svc = r.component_of(SERVICES[iface]);
-                r.tb.runtime.inject_fault(svc);
-            }
-            SysOp::ArmNestedFault { iface } => {
-                let svc = r.component_of(SERVICES[iface]);
-                r.tb.runtime.kernel_mut().arm_fault_during_recovery(svc);
-            }
-            SysOp::Advance { dt } => {
-                let now = r.tb.runtime.kernel().now();
-                r.tb.runtime.kernel_mut().advance_to(now + SimTime(dt));
-            }
-        }
-        Ok(())
-    }
-
     /// The first observable difference between the two systems, if any.
     fn divergence(&self) -> Option<String> {
         let (kt, ke) = (
@@ -441,12 +404,23 @@ impl ElideDiffWalk {
             ));
         }
         let (st, se) = (
-            format!("{:?}", self.tracked.tb.runtime.stats()),
-            format!("{:?}", self.elided.tb.runtime.stats()),
+            self.tracked.tb.runtime.stats(),
+            self.elided.tb.runtime.stats(),
         );
         if st != se {
             return Some(format!(
-                "runtime statistics diverged:\n  tracked: {st}\n  elided:  {se}"
+                "runtime statistics diverged:\n  tracked: {st:?}\n  elided:  {se:?}"
+            ));
+        }
+        let (mt, me) = (
+            MetricsSnapshot::from_kernel(kt),
+            MetricsSnapshot::from_kernel(ke),
+        );
+        if mt != me {
+            let (jt, je) = (mt.to_json_lines("step"), me.to_json_lines("step"));
+            return Some(format!(
+                "kernel counters diverged: {}",
+                first_difference(&jt, &je)
             ));
         }
         for iface in SERVICES {
@@ -486,23 +460,9 @@ impl ElideDiffWalk {
         let full = composite::shards_to_jsonl(&shards[..1]);
         let elided = composite::shards_to_jsonl(&shards[1..]);
         if full != elided {
-            let first = full
-                .lines()
-                .zip(elided.lines())
-                .enumerate()
-                .find(|(_, (a, b))| a != b);
             out.push(Violation {
                 invariant: "elide-trace-identity",
-                detail: match first {
-                    Some((i, (a, b))) => {
-                        format!("traces diverge at line {i}:\n  tracked: {a}\n  elided:  {b}")
-                    }
-                    None => format!(
-                        "traces differ in length: tracked {} lines, elided {} lines",
-                        full.lines().count(),
-                        elided.lines().count()
-                    ),
-                },
+                detail: format!("traces {}", first_difference(&full, &elided)),
             });
         }
         out
@@ -530,11 +490,21 @@ impl Model for ElideDiffWalk {
     }
 
     fn apply(&mut self, op: &SysOp) -> Result<(), Violation> {
-        for (name, r) in [("tracked", &mut self.tracked), ("elided", &mut self.elided)] {
-            Self::apply_one(r, op).map_err(|detail| Violation {
+        let run = |name: &str, r: &mut Rig| {
+            apply_op(r, op).map_err(|detail| Violation {
                 invariant: "elide-equivalence",
                 detail: format!("{name} run: {detail}"),
-            })?;
+            })
+        };
+        let (t, e) = (
+            run("tracked", &mut self.tracked)?,
+            run("elided", &mut self.elided)?,
+        );
+        if t != e {
+            return Err(Violation {
+                invariant: "elide-equivalence",
+                detail: format!("results diverged: tracked run {t:?}, elided run {e:?}"),
+            });
         }
         if let Some(detail) = self.divergence() {
             return Err(Violation {
@@ -543,6 +513,24 @@ impl Model for ElideDiffWalk {
             });
         }
         Ok(())
+    }
+}
+
+/// Where two renderings first differ, as "diverge at line N: ..." or
+/// "differ in length: ...".
+fn first_difference(tracked: &str, elided: &str) -> String {
+    let first = tracked
+        .lines()
+        .zip(elided.lines())
+        .enumerate()
+        .find(|(_, (a, b))| a != b);
+    match first {
+        Some((i, (a, b))) => format!("diverge at line {i}:\n  tracked: {a}\n  elided:  {b}"),
+        None => format!(
+            "differ in length: tracked {} lines, elided {} lines",
+            tracked.lines().count(),
+            elided.lines().count()
+        ),
     }
 }
 
@@ -1034,6 +1022,19 @@ mod tests {
         }
         let violations = walk.finish();
         assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn elide_diff_walk_compares_kernel_counters() {
+        // The runtimes count mechanism firings only in the kernel
+        // counters, so one extra firing on one side must diverge.
+        let mut walk = ElideDiffWalk::new();
+        Model::reset(&mut walk);
+        let (lock, t) = (walk.elided.component_of("lock"), walk.elided.thread);
+        let k = walk.elided.tb.runtime.kernel_mut();
+        k.record_mechanism(lock, composite::Mechanism::R0, 1, t, SimTime::ZERO);
+        let v = walk.apply(&SysOp::Advance { dt: 1 }).unwrap_err();
+        assert!(v.detail.starts_with("kernel counters diverged"), "{v:?}");
     }
 
     #[test]

@@ -1,32 +1,21 @@
 //! The environment handed to interface stubs, and recovery statistics.
 
-use std::collections::BTreeMap;
-
 use composite::{
     CallError, ComponentId, EdgeMap, Kernel, Mechanism, SimTime, ThreadId, TraceEventKind, Value,
 };
 
 use crate::stub::InterfaceStub;
 
-/// Counters describing recovery activity, consumed by tests and by the
-/// benchmark harnesses (Fig 6(b), Table II).
+/// Counts of what the recovery runtime alone decides. Mechanism
+/// firings and recovery latency are counted once, in the kernel's
+/// [`Counters`](composite::Counters), through
+/// [`Kernel::record_mechanism`] and [`Kernel::record_recovery_latency`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Faults handled (micro-reboot sequences initiated).
     pub faults_handled: u64,
-    /// Descriptors individually recovered (R0 walks completed).
-    pub descriptors_recovered: u64,
     /// Interface functions replayed during recovery walks.
     pub walk_steps_replayed: u64,
-    /// Recoveries deferred because the descriptor's state was
-    /// thread-affine and another thread must complete it.
-    pub deferred_completions: u64,
-    /// Storage-component round trips (G0 lookups + G1 fetches).
-    pub storage_roundtrips: u64,
-    /// Upcalls into creator components (U0).
-    pub upcalls: u64,
-    /// Eagerly woken threads at fault time (T0).
-    pub eager_wakeups: u64,
     /// Calls that exhausted their retry budget and surfaced a fault.
     pub unrecovered: u64,
     /// Invalid state-machine branches attempted (fault *detection*,
@@ -35,8 +24,6 @@ pub struct RecoveryStats {
     /// Child recovery episodes opened because a fault landed while a
     /// replay walk or eager recovery was already in flight.
     pub nested_recoveries: u64,
-    /// Total virtual time spent in recovery, per server component.
-    pub recovery_time: BTreeMap<u32, SimTime>,
 }
 
 impl RecoveryStats {
@@ -45,25 +32,11 @@ impl RecoveryStats {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Total virtual time spent recovering `server`.
-    #[must_use]
-    pub fn recovery_time_of(&self, server: ComponentId) -> SimTime {
-        self.recovery_time
-            .get(&server.0)
-            .copied()
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    pub(crate) fn add_recovery_time(&mut self, server: ComponentId, t: SimTime) {
-        let e = self.recovery_time.entry(server.0).or_insert(SimTime::ZERO);
-        *e += t;
-    }
 }
 
 /// Everything a stub may touch while handling a call or recovering a
 /// descriptor: the kernel, the other edges' stubs (for **U0** upcalls),
-/// the storage component (for **G0**/**G1**), and the stats sink.
+/// the storage component (for **G0**), and the runtime's statistics.
 ///
 /// The currently executing stub is checked out of `stubs`, so the map
 /// only contains *other* edges.
@@ -142,7 +115,6 @@ impl StubEnv<'_> {
         // clobbering the parent's accounting.
         self.kernel.begin_recovery(self.server);
         self.kernel.charge(cost);
-        self.stats.add_recovery_time(self.server, cost);
         self.stats.walk_steps_replayed += 1;
         let r = self.invoke(fname, args);
         self.kernel.end_recovery(self.server);
@@ -169,14 +141,12 @@ impl StubEnv<'_> {
 
     /// One descriptor fully rebuilt through its recovery walk (**R0**).
     pub fn note_descriptor_recovered(&mut self) {
-        self.stats.descriptors_recovered += 1;
         self.note_mechanism(Mechanism::R0);
     }
 
     /// A recovery walk deferred at a thread-affine step (**T1**,
     /// on-demand completion by the owning thread).
     pub fn note_deferred_completion(&mut self) {
-        self.stats.deferred_completions += 1;
         self.note_mechanism(Mechanism::T1);
     }
 
@@ -220,8 +190,8 @@ impl StubEnv<'_> {
         self.retries_left -= 1;
 
         // T0 wakeups happened when the fault was raised: the kernel
-        // releases threads blocked in the failed server, counts them, and
-        // [`crate::FtRuntime::inject_fault`] accumulates the stat.
+        // released the threads blocked in the failed server and counted
+        // them.
 
         let before = self.kernel.now();
         self.kernel.begin_recovery(self.server);
@@ -232,7 +202,6 @@ impl StubEnv<'_> {
         })?;
         self.stats.faults_handled += 1;
         let took = self.kernel.now().saturating_sub(before);
-        self.stats.add_recovery_time(self.server, took);
         self.kernel.record_recovery_latency(self.server, took);
 
         // Propagate the inter-component exception to every client edge of
@@ -259,8 +228,6 @@ impl StubEnv<'_> {
             .ok_or(CallError::Service(composite::ServiceError::NotFound))?;
         let cost = self.kernel.costs().storage_round_trip;
         self.kernel.charge(cost);
-        self.stats.add_recovery_time(self.server, cost);
-        self.stats.storage_roundtrips += 1;
         self.kernel
             .record_mechanism(self.server, Mechanism::G0, 1, self.thread, cost);
         let v = self.kernel.invoke(
@@ -293,7 +260,6 @@ impl StubEnv<'_> {
             .ok_or(CallError::Service(composite::ServiceError::NotFound))?;
         let cost = self.kernel.costs().storage_round_trip;
         self.kernel.charge(cost);
-        self.stats.storage_roundtrips += 1;
         self.kernel
             .record_mechanism(self.server, Mechanism::G0, 1, self.thread, cost);
         self.kernel.invoke(
@@ -326,7 +292,6 @@ impl StubEnv<'_> {
         // U0 is counted (and traced) inside the kernel choke point; the
         // returned span scopes the creator-side recovery under it.
         let u0_span = self.kernel.count_upcall(self.server, self.thread);
-        self.stats.upcalls += 1;
         self.kernel.trace_push_scope(u0_span);
         self.kernel.begin_recovery(self.server);
         let mut inner = StubEnv {
@@ -344,19 +309,5 @@ impl StubEnv<'_> {
         self.kernel.end_recovery(self.server);
         self.kernel.trace_pop_scope(u0_span);
         r
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stats_accumulate_recovery_time() {
-        let mut s = RecoveryStats::new();
-        s.add_recovery_time(ComponentId(3), SimTime(100));
-        s.add_recovery_time(ComponentId(3), SimTime(50));
-        assert_eq!(s.recovery_time_of(ComponentId(3)), SimTime(150));
-        assert_eq!(s.recovery_time_of(ComponentId(9)), SimTime::ZERO);
     }
 }

@@ -121,7 +121,7 @@ impl FtRuntime {
     /// point). The fault is handled lazily: the next invocation of the
     /// component triggers micro-reboot and recovery.
     pub fn inject_fault(&mut self, server: ComponentId) {
-        self.stats.eager_wakeups += self.kernel.fault(server);
+        self.kernel.fault(server);
     }
 
     /// Handle a pending fault in `server` immediately (reboot + fault

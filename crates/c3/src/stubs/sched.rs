@@ -190,7 +190,8 @@ impl InterfaceStub for C3SchedStub {
 mod tests {
     use super::*;
     use composite::{
-        ComponentId, CostModel, Executor, InterfaceCall as _, Kernel, Priority, RunExit, ThreadId,
+        ComponentId, CostModel, Executor, InterfaceCall as _, Kernel, Mechanism, Priority, RunExit,
+        ThreadId,
     };
     use sg_services::api::ClientEnd;
     use sg_services::scheduler::Scheduler;
@@ -244,7 +245,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rt.stats().faults_handled, 1);
-        assert!(rt.stats().descriptors_recovered >= 1);
+        assert!(crate::stubs::fired(&rt, Mechanism::R0) >= 1);
     }
 
     #[test]

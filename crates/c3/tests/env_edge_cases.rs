@@ -2,7 +2,10 @@
 //! storage component, upcalls to unknown edges, recovery-time
 //! accounting, and retry bookkeeping.
 
-use composite::{CostModel, InterfaceCall as _, Kernel, Priority, ServiceError, SimTime, Value};
+use composite::{
+    CostModel, InterfaceCall as _, Kernel, KernelAccess as _, Mechanism, Priority, ServiceError,
+    SimTime, TraceEventKind, Value, DEFAULT_TRACE_CAPACITY,
+};
 use sg_c3::stubs::C3LockStub;
 use sg_c3::{FtRuntime, RuntimeConfig};
 use sg_services::lock::LockService;
@@ -30,19 +33,33 @@ fn runtime(
     (rt, app, lock, t)
 }
 
+/// Simulated time of `server`'s `reboot` and `walk_step` trace spans.
+fn traced_recovery_time(rt: &mut FtRuntime, server: composite::ComponentId) -> SimTime {
+    let shard = rt.kernel_mut().take_trace("env");
+    let recovery = shard.events.iter().filter(|e| {
+        e.component == server
+            && matches!(
+                e.kind,
+                TraceEventKind::Reboot | TraceEventKind::WalkStep { .. }
+            )
+    });
+    recovery.fold(SimTime::ZERO, |sum, e| sum + e.dur)
+}
+
 #[test]
 fn recovery_time_is_attributed_to_the_faulted_server() {
     let (mut rt, app, lock, t) = runtime(true);
+    rt.kernel_mut().enable_tracing(DEFAULT_TRACE_CAPACITY);
     let id = rt
         .interface_call(app, t, lock, "lock_alloc", &[Value::Int(1)])
         .unwrap()
         .int()
         .unwrap();
-    assert_eq!(rt.stats().recovery_time_of(lock), SimTime::ZERO);
+    assert_eq!(traced_recovery_time(&mut rt, lock), SimTime::ZERO);
     rt.inject_fault(lock);
     rt.interface_call(app, t, lock, "lock_take", &[Value::Int(1), Value::Int(id)])
         .unwrap();
-    let spent = rt.stats().recovery_time_of(lock);
+    let spent = traced_recovery_time(&mut rt, lock);
     // At least the micro-reboot plus one replayed walk step.
     let costs = CostModel::paper_defaults();
     assert!(
@@ -78,8 +95,12 @@ fn stats_expose_walk_and_descriptor_counters() {
         &[Value::Int(1), Value::Int(id)],
     )
     .unwrap();
+    let r0 = rt
+        .kernel()
+        .counters()
+        .total(|r| r.mechanisms[Mechanism::R0.index()]);
+    assert_eq!(r0, 1);
     let s = rt.stats();
-    assert_eq!(s.descriptors_recovered, 1);
     // Taken lock by the same thread: alloc + take replayed.
     assert_eq!(s.walk_steps_replayed, 2);
     assert_eq!(s.unrecovered, 0);
@@ -93,7 +114,7 @@ fn config_is_inspectable() {
 }
 
 #[test]
-fn eager_wakeups_are_counted_for_blocked_threads() {
+fn t0_wakeups_are_counted_for_blocked_threads() {
     let (mut rt, app, lock, t) = runtime(true);
     let t2 = {
         use composite::KernelAccess as _;
@@ -112,8 +133,8 @@ fn eager_wakeups_are_counted_for_blocked_threads() {
         .unwrap_err();
     assert_eq!(err, composite::CallError::WouldBlock);
     rt.inject_fault(lock);
-    // The owner's next call handles the fault; kernel released t2 when
-    // the fault was raised — T0 accounting happens during the reboot.
+    // The owner's next call handles the fault; the kernel released t2,
+    // the contending thread, when the fault was raised.
     rt.interface_call(
         app,
         t,
@@ -123,6 +144,8 @@ fn eager_wakeups_are_counted_for_blocked_threads() {
     )
     .unwrap();
     assert_eq!(rt.stats().faults_handled, 1);
+    let row = rt.kernel().counters().row(lock).unwrap();
+    assert_eq!(row.mechanisms[Mechanism::T0.index()], 1);
 }
 
 #[test]

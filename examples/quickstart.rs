@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run -p sg-bench --example quickstart`.
 
-use composite::{Executor, KernelAccess as _, Priority, RunExit};
+use composite::{Executor, KernelAccess as _, Mechanism, Priority, RunExit};
 use sg_c3::FtRuntime;
 use sg_services::api::ClientEnd;
 use sg_services::workloads::{shared_desc, LockContender, LockOwner};
@@ -57,11 +57,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(exit, RunExit::AllDone);
 
     let stats = tb.runtime.stats();
+    let counters = tb.runtime.kernel().counters();
     println!(
         "workloads completed across {} faults:",
         stats.faults_handled
     );
-    println!("  descriptors recovered : {}", stats.descriptors_recovered);
+    println!(
+        "  descriptors recovered : {}",
+        counters.total(|r| r.mechanisms[Mechanism::R0.index()])
+    );
     println!("  walk steps replayed   : {}", stats.walk_steps_replayed);
     println!("  unrecovered faults    : {}", stats.unrecovered);
     assert_eq!(stats.unrecovered, 0);

@@ -139,7 +139,7 @@ fn fig6_observables(variant: Variant) -> (MetricsSnapshot, RecoveryStats, SimTim
     r.tb.runtime.kernel_mut().enable_tracing(1 << 20);
     for iface in SERVICES {
         for seq in 0..50 {
-            r.run_iteration(iface, seq);
+            r.run_iteration(iface, seq).unwrap();
         }
     }
     if variant != Variant::Bare {

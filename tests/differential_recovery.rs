@@ -50,7 +50,7 @@ struct Trace {
 fn run_script(variant: Variant, iface: &str) -> Trace {
     let mut r = rig(variant);
     for seq in 0..3 {
-        r.run_iteration(iface, seq);
+        r.run_iteration(iface, seq).unwrap();
     }
     let (client, thread, svc, fname, args) = r.setup_recovery_victim(iface);
     let mut outcomes = Vec::new();
@@ -60,7 +60,7 @@ fn run_script(variant: Variant, iface: &str) -> Trace {
             r.tb.runtime
                 .interface_call(client, thread, svc, fname, &args);
         outcomes.push(classify(&res));
-        r.run_iteration(iface, 100 + seq);
+        r.run_iteration(iface, 100 + seq).unwrap();
     }
     // On-demand recovery is lazy per touched descriptor; quiesce the
     // rest so the final table shapes are comparable across variants.
@@ -106,7 +106,7 @@ fn exercise_all_mechanisms(variant: Variant) -> MetricsSnapshot {
     // D0: every service's teardown path (the frees/releases in the
     // micro-workload iterations).
     for iface in SERVICES {
-        r.run_iteration(iface, 0);
+        r.run_iteration(iface, 0).unwrap();
     }
 
     // R0 + D1: recovering the mm alias forces parent-first recovery of

@@ -38,7 +38,7 @@ fn traced_scenario(variant: Variant) -> (MetricsSnapshot, TraceShard) {
     let mut r: Rig = rig(variant);
     r.tb.runtime.kernel_mut().enable_tracing(TEST_CAPACITY);
     for iface in SERVICES {
-        r.run_iteration(iface, 0);
+        r.run_iteration(iface, 0).unwrap();
     }
     for iface in ["mm", "evt", "fs", "lock"] {
         let (c, t, svc, f, a) = r.setup_recovery_victim(iface);

@@ -8,7 +8,9 @@
 //! `cargo test` even without the workflow step.
 
 use composite::{run_check, step, CheckConfig, KernelWalk, Model, SplitMix64};
-use sg_bench::modelck::{event_from_json, event_to_json, SystemWalk};
+use sg_bench::modelck::{
+    event_from_json, event_to_json, ElideDiffWalk, SystemWalk, ELIDE_SEED_MIX, SYSTEM_SEED_MIX,
+};
 
 /// The acceptance floor: 10k steps, fixed seed, no violation.
 #[test]
@@ -74,6 +76,38 @@ fn system_walk_smoke_with_trace_checks() {
         trace_violations.is_empty(),
         "trace-level violations: {trace_violations:?}"
     );
+}
+
+/// Reboot storms that degrade a service in the middle of a workload
+/// iteration: at `modelcheck --seed` 3, 8 and 16 the system walk, the
+/// elision walk or both meet a `Degraded` rejection after the
+/// iteration started, which must count as the fail-fast window, not as
+/// a violation or a panic.
+#[test]
+fn walks_hold_when_a_storm_degrades_a_service_mid_iteration() {
+    let config = |seed| CheckConfig {
+        seed,
+        steps: 3_000,
+        max_shrink_iters: 400,
+    };
+    for seed in [3_u64, 8, 16] {
+        let mut system = SystemWalk::new();
+        let report = run_check(&mut system, &config(seed ^ SYSTEM_SEED_MIX));
+        assert!(
+            report.passed(),
+            "seed {seed}: system invariant violated: {:?}",
+            report.counterexample.map(|c| c.violation)
+        );
+        assert_eq!(system.finish(), Vec::new(), "seed {seed}");
+        let mut elide = ElideDiffWalk::new();
+        let report = run_check(&mut elide, &config(seed ^ ELIDE_SEED_MIX));
+        assert!(
+            report.passed(),
+            "seed {seed}: elided run diverged: {:?}",
+            report.counterexample.map(|c| c.violation)
+        );
+        assert_eq!(elide.finish(), Vec::new(), "seed {seed}");
+    }
 }
 
 /// Counterexample artifacts round-trip: every event a walk generates

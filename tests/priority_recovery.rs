@@ -4,7 +4,9 @@
 //! request after a fault pays for its own descriptor only — not for the
 //! backlog of low-priority state.
 
-use composite::{CostModel, InterfaceCall as _, KernelAccess as _, Priority, SimTime, Value};
+use composite::{
+    CostModel, InterfaceCall as _, KernelAccess as _, Mechanism, Priority, SimTime, Value,
+};
 use sg_c3::RecoveryPolicy;
 use superglue::testbed::{Testbed, Variant};
 
@@ -32,6 +34,12 @@ fn build(policy: RecoveryPolicy) -> (Testbed, composite::ThreadId, i64) {
     (tb, hi, hi_desc)
 }
 
+/// Descriptors rebuilt so far: the kernel's R0 count.
+fn recovered(tb: &Testbed) -> u64 {
+    let counters = tb.runtime.kernel().counters();
+    counters.total(|r| r.mechanisms[Mechanism::R0.index()])
+}
+
 #[test]
 fn on_demand_recovery_charges_the_high_priority_thread_for_one_descriptor() {
     let (mut tb, hi, hi_desc) = build(RecoveryPolicy::OnDemand);
@@ -48,7 +56,7 @@ fn on_demand_recovery_charges_the_high_priority_thread_for_one_descriptor() {
         .expect("take after recovery");
     let latency = tb.runtime.kernel().now().saturating_sub(before);
     // Exactly one descriptor was rebuilt before the request completed.
-    assert_eq!(tb.runtime.stats().descriptors_recovered, 1);
+    assert_eq!(recovered(&tb), 1);
     // Latency is bounded by reboot + one walk, independent of the
     // low-priority backlog.
     let costs = CostModel::paper_defaults();
@@ -81,10 +89,7 @@ fn eager_recovery_pays_for_the_whole_backlog_first() {
         .expect("take after recovery");
     let latency = tb.runtime.kernel().now().saturating_sub(before);
     // Every descriptor was recovered before the request completed…
-    assert_eq!(
-        tb.runtime.stats().descriptors_recovered as usize,
-        LOW_PRIO_DESCRIPTORS + 1
-    );
+    assert_eq!(recovered(&tb), LOW_PRIO_DESCRIPTORS as u64 + 1);
     // …so the request waited at least a walk per descriptor.
     let per_walk = CostModel::paper_defaults().recovery_step;
     assert!(

@@ -44,11 +44,11 @@ const ITERATIONS: u64 = 1_000;
 fn allocations(variant: Variant, elide: bool, iface: &str) -> u64 {
     let mut rig = rig_elided(variant, elide);
     for seq in 0..WARMUP {
-        rig.run_iteration(iface, seq);
+        rig.run_iteration(iface, seq).unwrap();
     }
     let before = ALLOCATIONS.with(Cell::get);
     for seq in WARMUP..WARMUP + ITERATIONS {
-        rig.run_iteration(iface, seq);
+        rig.run_iteration(iface, seq).unwrap();
     }
     ALLOCATIONS.with(Cell::get) - before
 }
