@@ -13,6 +13,7 @@
 //! either is at worst a reference-count bump. This matches the substrate:
 //! a `cbuf` *is* a shared buffer reference, not a copy.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -53,6 +54,16 @@ impl Value {
     ///
     /// [`TypeMismatch`] when the value is not a [`Value::Str`].
     pub fn str(&self) -> Result<&str, TypeMismatch> {
+        self.small_str().map(SmallStr::as_str)
+    }
+
+    /// String payload as the [`SmallStr`] itself, for a callee that keeps
+    /// it: cloning it copies an inline string or bumps a refcount.
+    ///
+    /// # Errors
+    ///
+    /// [`TypeMismatch`] when the value is not a [`Value::Str`].
+    pub fn small_str(&self) -> Result<&SmallStr, TypeMismatch> {
         match self {
             Value::Str(s) => Ok(s),
             other => Err(TypeMismatch {
@@ -68,6 +79,16 @@ impl Value {
     ///
     /// [`TypeMismatch`] when the value is not a [`Value::Bytes`].
     pub fn bytes(&self) -> Result<&[u8], TypeMismatch> {
+        self.shared_bytes().map(|b| &**b)
+    }
+
+    /// Byte payload as the shared [`Bytes`] buffer, for a callee that
+    /// keeps it: cloning it bumps a refcount instead of copying.
+    ///
+    /// # Errors
+    ///
+    /// [`TypeMismatch`] when the value is not a [`Value::Bytes`].
+    pub fn shared_bytes(&self) -> Result<&Bytes, TypeMismatch> {
         match self {
             Value::Bytes(b) => Ok(b),
             other => Err(TypeMismatch {
@@ -206,6 +227,18 @@ impl PartialEq for SmallStr {
 }
 
 impl Eq for SmallStr {}
+
+impl PartialOrd for SmallStr {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for SmallStr {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
 
 impl PartialEq<str> for SmallStr {
     fn eq(&self, other: &str) -> bool {

@@ -86,9 +86,11 @@ impl Interner {
 
 /// FNV-1a, the classic allocation-free string hash. Deterministic across
 /// processes (unlike `std`'s randomized SipHash), which the bit-identical
-/// parallel-evaluation guarantees require.
+/// parallel-evaluation guarantees require. [`DispatchTable`] probes with
+/// it, and the storage service orders its data keys by it.
 #[inline]
-fn fnv1a(s: &str) -> u64 {
+#[must_use]
+pub fn fnv1a(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in s.as_bytes() {
         h ^= u64::from(b);

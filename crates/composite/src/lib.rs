@@ -60,7 +60,7 @@ pub use composite_core::{
 pub use error::{CallError, KernelError, ServiceError};
 pub use executor::{Executor, RunExit, StepResult, Workload};
 pub use ids::{ComponentId, Epoch, FrameId, Priority, ThreadId};
-pub use intern::{DispatchTable, Interner, NameId};
+pub use intern::{fnv1a, DispatchTable, Interner, NameId};
 pub use json::Json;
 pub use kernel::{EscalationPolicy, InterfaceCall, Kernel, KernelAccess, BOOTER, BOOT_THREAD};
 pub use metrics::{

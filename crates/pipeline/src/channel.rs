@@ -23,7 +23,15 @@
 //! The ring itself is redundantly persisted through the storage
 //! component inside each mutation's critical region (**G1**, the RamFS
 //! pattern), so a micro-reboot loses only the volatile endpoint seating
-//! that CR0 restores.
+//! that CR0 restores. Channel `n` keeps its tail and committed floor
+//! under `ch{n}:tail` and `ch{n}:floor`, message `s` under `ch{n}:m{s}`,
+//! and its delivery-fault counter and dead-letter marker under
+//! `ch{n}:f{s}` and `ch{n}:x{s}`. The keys are written on the stack and,
+//! for any channel below 10 and sequence number below 10^16, fit
+//! `SmallStr`'s 22 inline bytes, so naming a slot allocates nothing. A
+//! payload travels as one shared [`Bytes`] buffer from `chan_send` into
+//! storage and back out of `chan_peek`, never copied; each 8-byte
+//! counter write is one allocation.
 //!
 //! # Dead-letter escalation
 //!
@@ -41,7 +49,7 @@
 
 use std::collections::BTreeMap;
 
-use composite::{ComponentId, Service, ServiceCtx, ServiceError, ThreadId, Value};
+use composite::{Bytes, ComponentId, Service, ServiceCtx, ServiceError, SmallStr, ThreadId, Value};
 
 /// Endpoint role: the sending side of a channel.
 pub const ROLE_PRODUCER: i64 = 0;
@@ -103,63 +111,42 @@ impl ChannelService {
         self.endpoints.len()
     }
 
-    fn fetch_int(&self, ctx: &mut ServiceCtx<'_>, key: &str) -> Option<i64> {
-        match ctx.invoke(self.storage, "st_fetch", &[Value::from(key)]) {
-            Ok(Value::Bytes(b)) if b.len() == 8 => {
-                let mut a = [0u8; 8];
-                a.copy_from_slice(&b);
-                Some(i64::from_le_bytes(a))
-            }
+    fn fetch(&self, ctx: &mut ServiceCtx<'_>, key: Value) -> Option<Bytes> {
+        match ctx.invoke(self.storage, "st_fetch", &[key]) {
+            Ok(Value::Bytes(b)) => Some(b),
             _ => None,
         }
     }
 
-    fn store_int(&self, ctx: &mut ServiceCtx<'_>, key: &str, v: i64) -> Result<(), ServiceError> {
-        ctx.invoke(
-            self.storage,
-            "st_store",
-            &[Value::from(key), Value::from(v.to_le_bytes().to_vec())],
-        )
-        .map(|_| ())
-        .map_err(|_| ServiceError::Unavailable)
+    fn fetch_int(&self, ctx: &mut ServiceCtx<'_>, key: Value) -> Option<i64> {
+        let b = self.fetch(ctx, key)?;
+        Some(i64::from_le_bytes((*b).try_into().ok()?))
     }
 
-    fn fetch_bytes(&self, ctx: &mut ServiceCtx<'_>, key: &str) -> Option<Vec<u8>> {
-        match ctx.invoke(self.storage, "st_fetch", &[Value::from(key)]) {
-            Ok(Value::Bytes(b)) => Some(b.to_vec()),
-            _ => None,
-        }
+    fn store(&self, ctx: &mut ServiceCtx<'_>, key: Value, v: Bytes) -> Result<(), ServiceError> {
+        ctx.invoke(self.storage, "st_store", &[key, Value::Bytes(v)])
+            .map(|_| ())
+            .map_err(|_| ServiceError::Unavailable)
     }
 
-    fn store_bytes(
-        &self,
-        ctx: &mut ServiceCtx<'_>,
-        key: &str,
-        v: Vec<u8>,
-    ) -> Result<(), ServiceError> {
-        ctx.invoke(
-            self.storage,
-            "st_store",
-            &[Value::from(key), Value::from(v)],
-        )
-        .map(|_| ())
-        .map_err(|_| ServiceError::Unavailable)
+    fn store_int(&self, ctx: &mut ServiceCtx<'_>, key: Value, v: i64) -> Result<(), ServiceError> {
+        self.store(ctx, key, Bytes::from(&v.to_le_bytes()[..]))
     }
 
     fn tail(&self, ctx: &mut ServiceCtx<'_>, chan_no: i64) -> i64 {
-        self.fetch_int(ctx, &format!("ch{chan_no}:tail"))
+        self.fetch_int(ctx, ring_key(chan_no, "tail", None))
             .unwrap_or(0)
     }
 
     /// Committed floor: backpressure only — the authoritative consumer
     /// position is the endpoint seat (volatile, CR0-restored).
     fn floor(&self, ctx: &mut ServiceCtx<'_>, chan_no: i64) -> i64 {
-        self.fetch_int(ctx, &format!("ch{chan_no}:floor"))
+        self.fetch_int(ctx, ring_key(chan_no, "floor", None))
             .unwrap_or(0)
     }
 
     fn dead_lettered(&self, ctx: &mut ServiceCtx<'_>, chan_no: i64, seq: i64) -> bool {
-        self.fetch_int(ctx, &format!("ch{chan_no}:x{seq}"))
+        self.fetch_int(ctx, ring_key(chan_no, "x", Some(seq)))
             .is_some()
     }
 
@@ -175,6 +162,56 @@ impl ChannelService {
             return Err(ServiceError::InvalidArg);
         }
         Ok(ep.clone())
+    }
+}
+
+/// The storage key `ch{chan_no}:{field}`, followed by `seq` when given,
+/// written into a stack buffer: no `format!`, no heap `String`.
+fn ring_key(chan_no: i64, field: &str, seq: Option<i64>) -> Value {
+    let mut key = KeyWriter {
+        buf: [0; 48],
+        len: 0,
+    };
+    key.push(b"ch");
+    key.push_int(chan_no);
+    key.push(b":");
+    key.push(field.as_bytes());
+    if let Some(seq) = seq {
+        key.push_int(seq);
+    }
+    let key = std::str::from_utf8(&key.buf[..key.len]).expect("ring keys are ASCII");
+    Value::Str(SmallStr::from(key))
+}
+
+/// A stack buffer for [`ring_key`]: "ch", ':', a field of at most 5
+/// bytes and two `i64`s of at most 20 characters each fit its 48 bytes.
+struct KeyWriter {
+    buf: [u8; 48],
+    len: usize,
+}
+
+impl KeyWriter {
+    fn push(&mut self, bytes: &[u8]) {
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    fn push_int(&mut self, n: i64) {
+        if n < 0 {
+            self.push(b"-");
+        }
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        let mut rest = n.unsigned_abs();
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        self.push(&digits[i..]);
     }
 }
 
@@ -235,13 +272,14 @@ impl Service for ChannelService {
             "chan_send" => {
                 let cid = args[1].int()?;
                 let seq = args[2].int()?;
-                let payload = args[3].bytes()?.to_vec();
+                let payload = args[3].shared_bytes()?;
+                let sent = Value::Int(payload.len() as i64);
                 let ep = self.endpoint(cid, ROLE_PRODUCER)?;
-                let msg_key = format!("ch{}:m{seq}", ep.chan_no);
+                let msg_key = ring_key(ep.chan_no, "m", Some(seq));
                 // Idempotent by seq: a redone send (stub retry after a
                 // mid-call fault) finds its message already in the ring.
-                if self.fetch_bytes(ctx, &msg_key).is_some() {
-                    return Ok(Value::Int(payload.len() as i64));
+                if self.fetch(ctx, msg_key.clone()).is_some() {
+                    return Ok(sent);
                 }
                 let tail = self.tail(ctx, ep.chan_no);
                 let floor = self.floor(ctx, ep.chan_no);
@@ -255,12 +293,12 @@ impl Service for ChannelService {
                 }
                 // G1: persist inside the critical region, message first
                 // so a torn write can never publish an empty slot.
-                self.store_bytes(ctx, &msg_key, payload.clone())?;
+                self.store(ctx, msg_key, payload.clone())?;
                 if seq + 1 > tail {
-                    self.store_int(ctx, &format!("ch{}:tail", ep.chan_no), seq + 1)?;
+                    self.store_int(ctx, ring_key(ep.chan_no, "tail", None), seq + 1)?;
                 }
                 Self::wake_all(ctx, self.peek_waiters.remove(&ep.chan_no));
-                Ok(Value::Int(payload.len() as i64))
+                Ok(sent)
             }
             // chan_peek(compid, desc(cid)) -> payload
             "chan_peek" => {
@@ -282,18 +320,18 @@ impl Service for ChannelService {
                         continue;
                     }
                     let payload = self
-                        .fetch_bytes(ctx, &format!("ch{}:m{pos}", ep.chan_no))
+                        .fetch(ctx, ring_key(ep.chan_no, "m", Some(pos)))
                         .ok_or(ServiceError::NotFound)?;
                     if !payload.starts_with(POISON_PREFIX) {
-                        return Ok(Value::from(payload));
+                        return Ok(Value::Bytes(payload));
                     }
                     // Showstopper delivery. The persisted per-message
                     // fault counter survives the micro-reboot this fault
                     // triggers, so escalation is monotone.
-                    let fkey = format!("ch{}:f{pos}", ep.chan_no);
-                    let faults = self.fetch_int(ctx, &fkey).unwrap_or(0) as u64;
+                    let fkey = ring_key(ep.chan_no, "f", Some(pos));
+                    let faults = self.fetch_int(ctx, fkey.clone()).unwrap_or(0) as u64;
                     if faults < self.poison_limit {
-                        self.store_int(ctx, &fkey, (faults + 1) as i64)?;
+                        self.store_int(ctx, fkey, (faults + 1) as i64)?;
                         // The message crashes its consumer's delivery
                         // path: fault ourselves mid-peek. The client
                         // observes CallError::Fault; the stub
@@ -305,7 +343,7 @@ impl Service for ChannelService {
                     // K faults reached: route to the dead-letter queue
                     // (once — the marker gates the DL0 note) and serve
                     // the next message.
-                    self.store_int(ctx, &format!("ch{}:x{pos}", ep.chan_no), faults as i64)?;
+                    self.store_int(ctx, ring_key(ep.chan_no, "x", Some(pos)), faults as i64)?;
                     ctx.note_dead_letter(cid, pos, faults);
                     pos += 1;
                 }
@@ -334,7 +372,7 @@ impl Service for ChannelService {
                     .cursor = cursor;
                 let floor = self.floor(ctx, ep.chan_no);
                 if cursor > floor {
-                    self.store_int(ctx, &format!("ch{}:floor", ep.chan_no), cursor)?;
+                    self.store_int(ctx, ring_key(ep.chan_no, "floor", None), cursor)?;
                 }
                 Self::wake_all(ctx, self.send_waiters.remove(&ep.chan_no));
                 Ok(Value::Int(cursor))
@@ -426,6 +464,24 @@ mod tests {
             .unwrap()
             .int()
             .unwrap()
+    }
+
+    #[test]
+    fn ring_keys_match_their_format() {
+        for (chan_no, field, seq) in [
+            (0, "tail", None),
+            (1, "m", Some(0)),
+            (0, "m", Some(19_999)),
+            (-3, "f", Some(-42)),
+            (i64::MIN, "floor", Some(i64::MIN)),
+            (i64::MAX, "x", Some(i64::MAX)),
+        ] {
+            let want = match seq {
+                Some(seq) => format!("ch{chan_no}:{field}{seq}"),
+                None => format!("ch{chan_no}:{field}"),
+            };
+            assert_eq!(ring_key(chan_no, field, seq), Value::from(want));
+        }
     }
 
     #[test]
