@@ -7,8 +7,7 @@
 //!
 //! `--trace PATH` records a flight-recorder trace of the ablation
 //! kernels (the recovery-policy and G1 ablations; the tracker ablation
-//! has no kernel) as JSON-lines at PATH plus a Chrome trace_event
-//! rendering at PATH.chrome.json.
+//! has no kernel) as JSON-lines at PATH.
 //!
 //! `--series PATH` dumps windowed recovery telemetry of the same
 //! kernels as JSON-lines for `sgstat series` (`--series-window NS`

@@ -16,10 +16,9 @@
 //! * `--json PATH` — additionally dump the rows as JSON;
 //! * `--metrics PATH` — dump per-component recovery-mechanism counters
 //!   as JSON-lines (one line per component per variant);
-//! * `--trace PATH` — record a flight-recorder trace of every run:
-//!   JSON-lines at PATH (analyze with `sgtrace`) plus a Chrome
-//!   trace_event rendering at PATH.chrome.json (open in Perfetto).
-//!   Byte-identical for every `--jobs` value;
+//! * `--trace PATH` — record a flight-recorder trace of every run as
+//!   JSON-lines at PATH (analyze with `sgtrace`; `sgtrace chrome` renders
+//!   it for Perfetto). Byte-identical for every `--jobs` value;
 //! * `--series PATH` — dump windowed recovery telemetry (per component,
 //!   per simulated-time window) as JSON-lines for `sgstat series`.
 //!   Byte-identical for every `--jobs` value;

@@ -23,7 +23,7 @@
 //! * `--json PATH` — dump the variant rows as JSON;
 //! * `--metrics PATH` — per-component mechanism counters as JSON-lines;
 //! * `--trace PATH` — flight-recorder JSON-lines (analyze with
-//!   `sgtrace`; `PATH.chrome.json` opens in Perfetto);
+//!   `sgtrace`; `sgtrace chrome` renders it for Perfetto);
 //! * `--series PATH` — windowed recovery telemetry as JSON-lines for
 //!   `sgstat series` / `sgstat avail`;
 //! * `--series-window NS` — window width in simulated nanoseconds

@@ -42,14 +42,12 @@ use sg_bench::stat::{
 use sg_bench::HarnessArgs;
 
 fn cmd_series(path: &str) -> Result<ExitCode, String> {
-    let file = parse_series(path)?;
-    print!("{}", series_report(&file));
+    print!("{}", series_report(&parse_series(path)?));
     Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_avail(path: &str) -> Result<ExitCode, String> {
-    let shards = parse_trace(path)?;
-    let report = avail_report(&shards);
+    let report = avail_report(&parse_trace(path)?);
     print!("{}", report.render());
     Ok(match report.conservation() {
         Conservation::Mismatch(_) => ExitCode::FAILURE,
@@ -58,26 +56,22 @@ fn cmd_avail(path: &str) -> Result<ExitCode, String> {
 }
 
 fn cmd_critpath(path: &str, collapse: bool) -> Result<ExitCode, String> {
-    let shards = parse_trace(path)?;
-    if collapse {
-        print!("{}", collapsed_stacks(&shards));
+    let report = if collapse {
+        collapsed_stacks
     } else {
-        print!("{}", critpath_report(&shards));
-    }
+        critpath_report
+    };
+    print!("{}", report(&parse_trace(path)?));
     Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_export(path: &str) -> Result<ExitCode, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let om = openmetrics_from_metrics(&text).map_err(|e| format!("{path}: {e}"))?;
-    print!("{om}");
+    print!("{}", openmetrics_from_metrics(&parse_metrics(path)?));
     Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_slo(path: &str, policy: &SloPolicy) -> Result<ExitCode, String> {
-    let shards = parse_trace(path)?;
-    let report = avail_report(&shards);
-    let slo = evaluate_slo(&report, policy);
+    let slo = evaluate_slo(&avail_report(&parse_trace(path)?), policy);
     println!(
         "observed: availability {:.6}%, p99 recovery {:.1}us over {} episode(s)",
         slo.availability * 100.0,

@@ -139,7 +139,7 @@ impl HarnessArgs {
 
     /// Reject any flag no getter consumed and return the positional
     /// arguments, which must be exactly the `N` that `names` describes.
-    pub fn finish<const N: usize>(self, names: [&str; N]) -> [String; N] {
+    pub fn finish<const N: usize>(&self, names: [&str; N]) -> [String; N] {
         let rest: Vec<String> = self.args.iter().flatten().cloned().collect();
         if let Some(flag) = rest.iter().find(|a| a.starts_with("--")) {
             self.fail(&format!("unknown flag {flag}"));
@@ -172,8 +172,8 @@ pub struct Artifacts {
     pub json: Option<String>,
     /// `--metrics PATH`: per-component counters as JSON-lines.
     pub metrics: Option<String>,
-    /// `--trace PATH`: the flight-recorder JSON-lines, plus a Chrome
-    /// `trace_event` rendering at `PATH.chrome.json`.
+    /// `--trace PATH`: the flight-recorder JSON-lines (`sgtrace chrome`
+    /// renders them for Perfetto).
     pub trace: Option<String>,
     /// `--series PATH`: windowed recovery telemetry as JSON-lines.
     pub series: Option<String>,
@@ -268,17 +268,12 @@ impl Artifacts {
         });
     }
 
-    /// Stage the `--trace` shards, if requested: the JSON-lines `sgtrace`
-    /// reads and the Chrome rendering Perfetto loads.
+    /// Stage the `--trace` shards as the JSON-lines `sgtrace` and
+    /// `sgstat` read, if requested.
     pub fn trace(&mut self, shards: impl IntoIterator<Item = TraceShard>) {
-        if let Some(path) = self.trace.clone() {
-            let shards: Vec<TraceShard> = shards.into_iter().collect();
-            let chrome = format!("{path}.chrome.json");
-            self.write(Path::new(&path), || composite::shards_to_jsonl(&shards));
-            self.write(Path::new(&chrome), || composite::shards_to_chrome(&shards));
-            self.done
-                .push(format!("trace written to {path} (+ {chrome} for Perfetto)"));
-        }
+        self.stage_one(self.trace.clone(), "trace", || {
+            composite::shards_to_jsonl(&shards.into_iter().collect::<Vec<_>>())
+        });
     }
 
     /// Stage the `--series` sections, if requested, as

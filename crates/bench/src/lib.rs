@@ -544,22 +544,11 @@ mod tests {
         );
         assert_eq!(read("m.jsonl"), "a\nb\n");
         assert_eq!(read("t.jsonl"), composite::shards_to_jsonl(&shards()));
-        assert_eq!(
-            read("t.jsonl.chrome.json"),
-            composite::shards_to_chrome(&shards())
-        );
         assert_eq!(read("s.jsonl"), series_to_jsonl(7, &[]));
         assert_eq!(read("b.json"), Json::object().to_pretty());
         assert_eq!(
             entries(&dir),
-            [
-                "b.json",
-                "m.jsonl",
-                "r.json",
-                "s.jsonl",
-                "t.jsonl",
-                "t.jsonl.chrome.json"
-            ]
+            ["b.json", "m.jsonl", "r.json", "s.jsonl", "t.jsonl"]
         );
         std::fs::remove_dir_all(&dir).expect("clean up");
     }
@@ -578,14 +567,14 @@ mod tests {
         );
         assert!(entries(&dir).is_empty());
 
-        // The Chrome file cannot replace a directory, so every file
+        // The last file staged cannot replace a directory, so every file
         // renamed before it is removed again.
-        std::fs::create_dir(dir.join("t.jsonl.chrome.json")).expect("mkdir");
+        std::fs::create_dir(dir.join("b.json")).expect("mkdir");
         let mut out = all_in(&dir);
         stage_all(&mut out);
         let err = out.land().expect_err("blocked");
-        assert!(err.to_string().contains("t.jsonl.chrome.json"), "{err}");
-        assert_eq!(entries(&dir), ["t.jsonl.chrome.json"]);
+        assert!(err.to_string().contains("b.json"), "{err}");
+        assert_eq!(entries(&dir), ["b.json"]);
         std::fs::remove_dir_all(&dir).expect("clean up");
     }
 

@@ -37,10 +37,11 @@
 use composite::{
     CallError, ComponentId, CostModel, EscalationPolicy, Event, InterfaceCall as _, Json,
     KernelAccess as _, MetricsSnapshot, Model, Priority, SimTime, SplitMix64, ThreadId,
-    TraceEventKind, TraceShard, Violation, DEFAULT_TRACE_CAPACITY, MAX_EPISODE_DEPTH, MECHANISMS,
+    TraceEventKind, Violation, DEFAULT_TRACE_CAPACITY, MAX_EPISODE_DEPTH, MECHANISMS,
 };
 use superglue::testbed::Variant;
 
+use crate::stat::{episodes_of, text, uint, uint32};
 use crate::{rig, rig_elided, Rig, SERVICES};
 
 // ---------------------------------------------------------------------
@@ -230,8 +231,20 @@ impl SystemWalk {
             }
         }
 
-        // 5. Episode-latency conservation.
-        out.extend(check_latency_conservation(&shard));
+        // 5. Episode-latency conservation, on the episodes `sgtrace
+        // timeline` reconstructs.
+        for ep in episodes_of(&shard) {
+            if ep.closed && ep.resummed != ep.attributed {
+                out.push(Violation {
+                    invariant: "episode-latency-conservation",
+                    detail: format!(
+                        "episode on {} starting at {}ns: re-summed spans total {}ns but \
+                         episode_end attributes {}ns",
+                        ep.component, ep.start, ep.resummed, ep.attributed
+                    ),
+                });
+            }
+        }
         out
     }
 }
@@ -549,54 +562,6 @@ fn probe_fn(iface: usize) -> &'static str {
 }
 
 // ---------------------------------------------------------------------
-// Episode-latency conservation over in-memory shards
-// ---------------------------------------------------------------------
-
-/// Re-sum the timed spans of every closed recovery episode in `shard`
-/// and compare against the attributed latency its `episode_end`
-/// recorded — the in-process twin of `sgtrace timeline`'s conservation
-/// check. Nested episodes attribute to the innermost open episode of
-/// their component, exactly mirroring the kernel-side recorder.
-#[must_use]
-pub fn check_latency_conservation(shard: &TraceShard) -> Vec<Violation> {
-    use std::collections::BTreeMap;
-    // Per-component stack of open episodes: (start time, resummed).
-    let mut open: BTreeMap<u32, Vec<(SimTime, u64)>> = BTreeMap::new();
-    let mut out = Vec::new();
-    for ev in &shard.events {
-        match ev.kind {
-            TraceEventKind::FaultInjected { .. } => {
-                open.entry(ev.component.0).or_default().push((ev.time, 0));
-            }
-            TraceEventKind::EpisodeEnd { attributed } => {
-                if let Some((start, resummed)) = open.get_mut(&ev.component.0).and_then(Vec::pop) {
-                    if resummed != attributed.0 {
-                        out.push(Violation {
-                            invariant: "episode-latency-conservation",
-                            detail: format!(
-                                "episode on comp {} starting at {start:?}: re-summed spans \
-                                 total {resummed}ns but episode_end attributes {}ns",
-                                ev.component.0, attributed.0
-                            ),
-                        });
-                    }
-                }
-            }
-            _ => {
-                if ev.dur > SimTime::ZERO {
-                    if let Some((_, resummed)) =
-                        open.get_mut(&ev.component.0).and_then(|s| s.last_mut())
-                    {
-                        *resummed += ev.dur.0;
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
 // Core-event JSON (de)serialization
 // ---------------------------------------------------------------------
 
@@ -729,24 +694,6 @@ pub fn event_to_json(ev: &Event) -> Json {
     j
 }
 
-fn ju64(j: &Json, key: &str) -> Result<u64, String> {
-    j.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn jcomp(j: &Json, key: &str) -> Result<ComponentId, String> {
-    Ok(ComponentId(
-        u32::try_from(ju64(j, key)?).map_err(|e| e.to_string())?,
-    ))
-}
-
-fn jthread(j: &Json, key: &str) -> Result<ThreadId, String> {
-    Ok(ThreadId(
-        u32::try_from(ju64(j, key)?).map_err(|e| e.to_string())?,
-    ))
-}
-
 fn jbool(j: &Json, key: &str) -> bool {
     matches!(j.get(key), Some(Json::Bool(true)))
 }
@@ -757,97 +704,93 @@ fn jbool(j: &Json, key: &str) -> bool {
 ///
 /// Returns a message naming the unknown tag or missing field.
 pub fn event_from_json(j: &Json) -> Result<Event, String> {
-    let tag = j
-        .get("ev")
-        .and_then(Json::as_str)
-        .ok_or("missing \"ev\" tag")?;
+    let tag = text(j, "ev")?;
     Ok(match tag {
         "add_component" => Event::AddComponent {
             has_service: jbool(j, "has_service"),
         },
         "add_thread" => Event::AddThread {
-            home: jcomp(j, "home")?,
-            priority: Priority(u8::try_from(ju64(j, "priority")?).map_err(|e| e.to_string())?),
+            home: ComponentId(uint32(j, "home")?),
+            priority: Priority(u8::try_from(uint(j, "priority")?).map_err(|e| e.to_string())?),
         },
         "grant" => Event::Grant {
-            client: jcomp(j, "client")?,
-            server: jcomp(j, "server")?,
+            client: ComponentId(uint32(j, "client")?),
+            server: ComponentId(uint32(j, "server")?),
         },
         "set_costs" => Event::SetCosts(CostModel {
-            invocation: SimTime(ju64(j, "invocation")?),
-            tracking: SimTime(ju64(j, "tracking")?),
-            micro_reboot: SimTime(ju64(j, "micro_reboot")?),
-            recovery_step: SimTime(ju64(j, "recovery_step")?),
-            storage_round_trip: SimTime(ju64(j, "storage_round_trip")?),
-            upcall: SimTime(ju64(j, "upcall")?),
+            invocation: SimTime(uint(j, "invocation")?),
+            tracking: SimTime(uint(j, "tracking")?),
+            micro_reboot: SimTime(uint(j, "micro_reboot")?),
+            recovery_step: SimTime(uint(j, "recovery_step")?),
+            storage_round_trip: SimTime(uint(j, "storage_round_trip")?),
+            upcall: SimTime(uint(j, "upcall")?),
         }),
         "set_escalation" => Event::SetEscalation(EscalationPolicy {
-            reboot_window: SimTime(ju64(j, "reboot_window")?),
-            max_reboots_in_window: u32::try_from(ju64(j, "max_reboots_in_window")?)
-                .map_err(|e| e.to_string())?,
-            degraded_cooldown: SimTime(ju64(j, "degraded_cooldown")?),
-            reboot_backoff: SimTime(ju64(j, "reboot_backoff")?),
+            reboot_window: SimTime(uint(j, "reboot_window")?),
+            max_reboots_in_window: uint32(j, "max_reboots_in_window")?,
+            degraded_cooldown: SimTime(uint(j, "degraded_cooldown")?),
+            reboot_backoff: SimTime(uint(j, "reboot_backoff")?),
         }),
-        "set_watchdog_budget" => Event::SetWatchdogBudget(ju64(j, "budget")?),
-        "charge" => Event::Charge(SimTime(ju64(j, "cost")?)),
-        "advance_to" => Event::AdvanceTo(SimTime(ju64(j, "t")?)),
+        "set_watchdog_budget" => Event::SetWatchdogBudget(uint(j, "budget")?),
+        "charge" => Event::Charge(SimTime(uint(j, "cost")?)),
+        "advance_to" => Event::AdvanceTo(SimTime(uint(j, "t")?)),
         "block_thread" => Event::BlockThread {
-            thread: jthread(j, "thread")?,
-            in_component: jcomp(j, "in_component")?,
+            thread: ThreadId(uint32(j, "thread")?),
+            in_component: ComponentId(uint32(j, "in_component")?),
         },
         "sleep_thread" => Event::SleepThread {
-            thread: jthread(j, "thread")?,
-            until: SimTime(ju64(j, "until")?),
+            thread: ThreadId(uint32(j, "thread")?),
+            until: SimTime(uint(j, "until")?),
         },
         "wake_thread" => Event::WakeThread {
-            thread: jthread(j, "thread")?,
+            thread: ThreadId(uint32(j, "thread")?),
         },
         "begin_recovery" => Event::BeginRecovery {
-            component: jcomp(j, "component")?,
+            component: ComponentId(uint32(j, "component")?),
         },
         "end_recovery" => Event::EndRecovery {
-            component: jcomp(j, "component")?,
+            component: ComponentId(uint32(j, "component")?),
         },
         "arm_recovery_fault" => Event::ArmRecoveryFault {
-            victim: jcomp(j, "victim")?,
+            victim: ComponentId(uint32(j, "victim")?),
         },
         "disarm_recovery_fault" => Event::DisarmRecoveryFault,
         "fault" => Event::Fault {
-            component: jcomp(j, "component")?,
+            component: ComponentId(uint32(j, "component")?),
         },
         "watchdog_expire" => Event::WatchdogExpire {
-            component: jcomp(j, "component")?,
-            thread: jthread(j, "thread")?,
+            component: ComponentId(uint32(j, "component")?),
+            thread: ThreadId(uint32(j, "thread")?),
         },
         "invoke_admit" => Event::InvokeAdmit {
-            client: jcomp(j, "client")?,
-            thread: jthread(j, "thread")?,
-            target: jcomp(j, "target")?,
+            client: ComponentId(uint32(j, "client")?),
+            thread: ThreadId(uint32(j, "thread")?),
+            target: ComponentId(uint32(j, "target")?),
             bypass_caps: jbool(j, "bypass_caps"),
         },
         "invoke_abort" => Event::InvokeAbort {
-            thread: jthread(j, "thread")?,
-            target: jcomp(j, "target")?,
+            thread: ThreadId(uint32(j, "thread")?),
+            target: ComponentId(uint32(j, "target")?),
         },
         "invoke_finish" => Event::InvokeFinish {
-            thread: jthread(j, "thread")?,
-            target: jcomp(j, "target")?,
+            thread: ThreadId(uint32(j, "thread")?),
+            target: ComponentId(uint32(j, "target")?),
             ok: jbool(j, "ok"),
         },
         "charge_upcall" => Event::ChargeUpcall {
-            server: jcomp(j, "server")?,
-            thread: jthread(j, "thread")?,
+            server: ComponentId(uint32(j, "server")?),
+            thread: ThreadId(uint32(j, "thread")?),
         },
         "note_upcall" => Event::NoteUpcall,
         "micro_reboot" => Event::MicroReboot {
-            component: jcomp(j, "component")?,
+            component: ComponentId(uint32(j, "component")?),
         },
         "cold_restart" => Event::ColdRestart {
-            component: jcomp(j, "component")?,
+            component: ComponentId(uint32(j, "component")?),
         },
         "mark_degraded" => Event::MarkDegraded {
-            component: jcomp(j, "component")?,
-            until: SimTime(ju64(j, "until")?),
+            component: ComponentId(uint32(j, "component")?),
+            until: SimTime(uint(j, "until")?),
         },
         other => return Err(format!("unknown event tag {other:?}")),
     })

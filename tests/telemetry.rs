@@ -21,12 +21,12 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use composite::{
-    shards_to_jsonl, MetricsRow, SeriesSnapshot, SimTime, DEFAULT_SERIES_WINDOW, MECHANISMS,
-    SERIES_SCHEMA_VERSION,
+    shards_to_jsonl, MetricsRow, SeriesSnapshot, SimTime, TraceEventKind, DEFAULT_SERIES_WINDOW,
+    MECHANISMS, SERIES_SCHEMA_VERSION,
 };
 use sg_bench::stat::{
-    avail_report, collapsed_stacks, evaluate_slo, parse_series_text, parse_trace_text,
-    series_report, Conservation, SloPolicy,
+    avail_report, collapsed_stacks, component_name, evaluate_slo, parse_series_text,
+    parse_trace_text, series_report, Conservation, SloPolicy,
 };
 use sg_bench::{series_to_jsonl, SERVICES};
 use sg_swifi::{run_campaign_parallel, CampaignConfig, CampaignMode};
@@ -91,20 +91,25 @@ fn series_parses_back_and_matches_snapshot_totals() {
         cfg.series_window_ns,
         &[("table2/evt/superglue".to_owned(), &result.series)],
     );
+    // The reader accepts only the writer's schema version.
     let parsed = parse_series_text(&text).expect("series parses");
-    assert_eq!(parsed.version, SERIES_SCHEMA_VERSION);
     assert_eq!(parsed.window_ns, cfg.series_window_ns);
     assert_eq!(parsed.rows.len(), result.series.rows.len());
     assert_eq!(
-        parsed.rows.iter().map(|r| r.invocations).sum::<u64>(),
+        parsed
+            .rows
+            .iter()
+            .map(|r| r.counts.invocations)
+            .sum::<u64>(),
         result.series.total_invocations()
     );
     assert_eq!(
-        parsed.rows.iter().map(|r| r.faults).sum::<u64>(),
+        parsed.rows.iter().map(|r| r.counts.faults).sum::<u64>(),
         result.series.total_faults()
     );
     let report = series_report(&parsed);
     assert!(report.contains("evt"), "report names the component");
+    assert!(report.contains(&format!("v{SERIES_SCHEMA_VERSION}")));
 }
 
 /// The series, metrics, and trace are three renderings of one event
@@ -159,8 +164,14 @@ fn series_metrics_and_trace_totals_agree() {
         Conservation::Ok => {
             let mut trace_faults: BTreeMap<&str, u64> = BTreeMap::new();
             for shard in &shards {
-                for ev in shard.events.iter().filter(|e| e.kind == "fault") {
-                    *trace_faults.entry(shard.name(ev.comp)).or_default() += 1;
+                let faults = shard
+                    .events
+                    .iter()
+                    .filter(|e| matches!(e.kind, TraceEventKind::FaultInjected { .. }));
+                for ev in faults {
+                    *trace_faults
+                        .entry(component_name(shard, ev.component))
+                        .or_default() += 1;
                 }
             }
             let series_faults: BTreeMap<&str, u64> = series
