@@ -3,7 +3,7 @@ use std::fmt;
 use crate::machine::{FnId, State};
 
 /// Errors produced while building or exercising descriptor state machines
-/// and trackers.
+/// and descriptor-resource models.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Error {
@@ -22,14 +22,8 @@ pub enum Error {
     /// detection (§III-B: "formalizing valid transitions enables fault
     /// detection if invalid branches are attempted").
     InvalidTransition { state: State, via: FnId },
-    /// The descriptor id is not present in the tracker.
-    UnknownDescriptor(u64),
-    /// A descriptor id was created twice without an intervening terminate.
-    DuplicateDescriptor(u64),
     /// The descriptor-resource model is internally inconsistent.
     InconsistentModel(String),
-    /// A parent descriptor was required (P_dr != Solo) but missing.
-    MissingParent(u64),
 }
 
 impl fmt::Display for Error {
@@ -46,13 +40,8 @@ impl fmt::Display for Error {
             Error::InvalidTransition { state, via } => {
                 write!(f, "invalid transition from {state:?} via {via:?}")
             }
-            Error::UnknownDescriptor(id) => write!(f, "unknown descriptor {id}"),
-            Error::DuplicateDescriptor(id) => write!(f, "descriptor {id} already tracked"),
             Error::InconsistentModel(why) => {
                 write!(f, "inconsistent descriptor-resource model: {why}")
-            }
-            Error::MissingParent(id) => {
-                write!(f, "descriptor {id} requires a parent but none was given")
             }
         }
     }
@@ -70,10 +59,7 @@ mod tests {
             Error::UnknownFunction(FnId(3)),
             Error::NoCreationFunction,
             Error::Unreachable(State::Init),
-            Error::UnknownDescriptor(7),
-            Error::DuplicateDescriptor(7),
             Error::InconsistentModel("x".into()),
-            Error::MissingParent(1),
         ];
         for e in errs {
             let s = e.to_string();

@@ -11,17 +11,16 @@
 //! * the **shortest recovery walk** through a state machine, which is the
 //!   sequence of interface functions a client stub replays to bring a
 //!   descriptor from the faulty state back to its expected state ([`walk`]);
-//! * the runtime **descriptor tracker** that client stubs use to record the
-//!   live state, metadata, and parent/child relationships of every
-//!   descriptor crossing an interface ([`tracking`]);
 //! * the **machine-level elision facts** (resync-state domain, constant
 //!   σ-successors, replay read-set) that the tracking-elision certifier
 //!   builds on ([`facts`]).
 //!
 //! The crate is substrate-independent: it knows nothing about the simulated
-//! μ-kernel, the IDL surface syntax, or the recovery runtime. Those layers
-//! (`superglue-idl`, `superglue-compiler`, `superglue`, `c3`) all consume
-//! the types defined here.
+//! μ-kernel, the IDL surface syntax, or the recovery runtime. The IDL front
+//! end, the compiler, the linter and the compiled-stub interpreter consume
+//! the types defined here. Runtime descriptor tracking is not part of it:
+//! the SuperGlue stub keeps its descriptor tables in `superglue`'s
+//! `CompiledStub`, and the hand-written C³ stubs keep theirs.
 //!
 //! # Example
 //!
@@ -57,7 +56,6 @@
 pub mod facts;
 pub mod machine;
 pub mod model;
-pub mod tracking;
 pub mod walk;
 
 mod error;
@@ -66,7 +64,6 @@ pub use error::Error;
 pub use facts::MachineFacts;
 pub use machine::{FnId, State, StateMachine, StateMachineBuilder};
 pub use model::{DescriptorResourceModel, ParentPolicy};
-pub use tracking::{DescId, DescriptorTracker, TrackedDescriptor, TrackedValue};
 pub use walk::RecoveryWalks;
 
 /// Crate-wide result alias.

@@ -5,7 +5,9 @@
 //! event channels, files) with opaque *descriptors*. SuperGlue decouples
 //! the resource from the descriptor and parameterizes each interface with
 //! seven properties that fully determine which recovery mechanisms
-//! (R0/T0/T1/D0/D1/G0/G1/U0) the compiler must emit.
+//! (R0/T0/T1/D0/D1/G0/G1/U0) the compiler must emit. That map lives once,
+//! beside the templates it gates, as `superglue_compiler`'s
+//! `ModelPredicates::mechanisms`.
 
 use std::fmt;
 
@@ -122,76 +124,6 @@ impl DescriptorResourceModel {
         }
         Ok(())
     }
-
-    /// The set of recovery mechanisms (§III-C) this model requires, in the
-    /// order the server-recovery procedure of §III-D applies them.
-    #[must_use]
-    pub fn mechanisms(&self) -> Vec<Mechanism> {
-        let mut m = vec![Mechanism::R0];
-        if self.blocks {
-            m.push(Mechanism::T0);
-        }
-        m.push(Mechanism::T1);
-        if self.close_children {
-            m.push(Mechanism::D0);
-        }
-        if self.parent.has_parent() {
-            m.push(Mechanism::D1);
-        }
-        if self.global {
-            m.push(Mechanism::G0);
-            m.push(Mechanism::U0);
-        }
-        if self.resource_has_data {
-            m.push(Mechanism::G1);
-        }
-        m
-    }
-
-    /// Whether recovery of this interface involves the storage component
-    /// (either **G0** global-descriptor records or **G1** resource data).
-    #[must_use]
-    pub fn needs_storage(&self) -> bool {
-        self.global || self.resource_has_data
-    }
-}
-
-/// The interface-driven recovery mechanisms taxonomy of §III-C.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Mechanism {
-    /// Base state-machine-directed recovery shared by every configuration.
-    R0,
-    /// Eager wakeup of threads blocked in the faulted server at fault time.
-    T0,
-    /// On-demand, priority-inheriting recovery of descriptors as they are
-    /// touched.
-    T1,
-    /// Child-dependency recovery on terminate (recursive revocation).
-    D0,
-    /// Parent-dependency recovery, root-first.
-    D1,
-    /// Global-descriptor recovery through the storage component.
-    G0,
-    /// Resource-data recovery through the storage component.
-    G1,
-    /// Upcall-driven rebuilding of descriptors in their creator component.
-    U0,
-}
-
-impl fmt::Display for Mechanism {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Mechanism::R0 => "R0",
-            Mechanism::T0 => "T0",
-            Mechanism::T1 => "T1",
-            Mechanism::D0 => "D0",
-            Mechanism::D1 => "D1",
-            Mechanism::G0 => "G0",
-            Mechanism::G1 => "G1",
-            Mechanism::U0 => "U0",
-        };
-        f.write_str(s)
-    }
 }
 
 /// Builder for [`DescriptorResourceModel`] mirroring the IDL's
@@ -207,7 +139,7 @@ impl fmt::Display for Mechanism {
 ///     .close_removes_tracking(true)
 ///     .descriptor_has_data(true)
 ///     .build()?;
-/// assert!(event_model.needs_storage());
+/// assert!(event_model.global && event_model.parent.has_parent());
 /// # Ok::<(), superglue_sm::Error>(())
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -287,58 +219,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_model_needs_only_base_recovery() {
-        let m = DescriptorResourceModel::new();
-        assert_eq!(m.mechanisms(), vec![Mechanism::R0, Mechanism::T1]);
-        assert!(!m.needs_storage());
-        m.validate().expect("default model is consistent");
-    }
-
-    #[test]
-    fn lock_model_mechanisms() {
-        // Lock: blocking, local, solo descriptors — T0 + R0 + T1 only,
-        // exactly as §V-C states.
-        let m = DescriptorResourceModelBuilder::new()
-            .blocks(true)
-            .build()
-            .unwrap();
-        assert_eq!(
-            m.mechanisms(),
-            vec![Mechanism::R0, Mechanism::T0, Mechanism::T1]
-        );
-    }
-
-    #[test]
-    fn event_model_uses_all_but_d0() {
-        // Event (Fig 3): parent, close_remove, global, block, desc data.
-        let m = DescriptorResourceModelBuilder::new()
-            .blocks(true)
-            .global(true)
-            .parent(ParentPolicy::Parent)
-            .close_removes_tracking(true)
-            .descriptor_has_data(true)
-            .build()
-            .unwrap();
-        let mech = m.mechanisms();
-        assert!(mech.contains(&Mechanism::G0));
-        assert!(mech.contains(&Mechanism::U0));
-        assert!(mech.contains(&Mechanism::D1));
-        assert!(!mech.contains(&Mechanism::D0));
-    }
-
-    #[test]
-    fn mm_model_has_children_dependency() {
-        let m = DescriptorResourceModelBuilder::new()
-            .parent(ParentPolicy::XcParent)
-            .close_children(true)
-            .build()
-            .unwrap();
-        let mech = m.mechanisms();
-        assert!(mech.contains(&Mechanism::D0));
-        assert!(mech.contains(&Mechanism::D1));
-    }
-
-    #[test]
     fn close_remove_without_parent_is_inconsistent() {
         let err = DescriptorResourceModelBuilder::new()
             .close_removes_tracking(true)
@@ -381,36 +261,5 @@ mod tests {
         assert!(ParentPolicy::XcParent.has_parent());
         assert!(!ParentPolicy::Parent.crosses_components());
         assert!(ParentPolicy::XcParent.crosses_components());
-    }
-
-    #[test]
-    fn storage_needed_for_global_or_resource_data() {
-        let g = DescriptorResourceModelBuilder::new()
-            .global(true)
-            .build()
-            .unwrap();
-        assert!(g.needs_storage());
-        let d = DescriptorResourceModelBuilder::new()
-            .resource_has_data(true)
-            .build()
-            .unwrap();
-        assert!(d.needs_storage());
-    }
-
-    #[test]
-    fn mechanisms_are_ordered_like_server_recovery_procedure() {
-        let m = DescriptorResourceModelBuilder::new()
-            .blocks(true)
-            .global(true)
-            .resource_has_data(true)
-            .parent(ParentPolicy::Parent)
-            .build()
-            .unwrap();
-        let mech = m.mechanisms();
-        // R0 first, then T0 before T1, storage mechanisms last.
-        assert_eq!(mech[0], Mechanism::R0);
-        let t0 = mech.iter().position(|&x| x == Mechanism::T0).unwrap();
-        let t1 = mech.iter().position(|&x| x == Mechanism::T1).unwrap();
-        assert!(t0 < t1);
     }
 }

@@ -1,13 +1,10 @@
-//! Property-based tests for the descriptor state machines and trackers.
-//! Random machine shapes and op sequences come from the repo's seeded
-//! [`SplitMix64`] generator, so every case is reproducible from its
-//! index.
+//! Property-based tests for the descriptor state machines.
+//! Random machine shapes come from the repo's seeded [`SplitMix64`]
+//! generator, so every case is reproducible from its index.
 
 use composite::rng::{mix, SplitMix64};
 use superglue_sm::machine::{State, StateMachineBuilder};
-use superglue_sm::model::DescriptorResourceModelBuilder;
-use superglue_sm::tracking::{DescId, DescriptorTracker, OperationLog};
-use superglue_sm::{DescriptorResourceModel, FnId};
+use superglue_sm::FnId;
 
 const CASES: u64 = 96;
 
@@ -121,112 +118,5 @@ fn step_is_deterministic() {
             assert_eq!(sm.step(s, f).expect("edge exists"), t, "case {case}");
             assert_eq!(sm.step(s, f).expect("edge exists"), t, "case {case}");
         }
-    }
-}
-
-fn lock_like() -> (superglue_sm::StateMachine, [FnId; 4]) {
-    let mut b = StateMachineBuilder::new("lock");
-    let alloc = b.function("alloc");
-    let take = b.function("take");
-    let release = b.function("release");
-    let free = b.function("free");
-    b.creation(alloc);
-    b.terminal(free);
-    b.transition(alloc, take);
-    b.transition(take, release);
-    b.transition(release, take);
-    b.transition(release, free);
-    b.transition(alloc, free);
-    (b.build().unwrap(), [alloc, take, release, free])
-}
-
-/// Ops applied to a tracker in fuzzing.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Create(u64),
-    Take(u64),
-    Release(u64),
-    Free(u64),
-    FaultAll,
-    Recover(u64),
-}
-
-fn op(rng: &mut SplitMix64) -> Op {
-    let id = rng.gen_range(8);
-    match rng.gen_range(6) {
-        0 => Op::Create(id),
-        1 => Op::Take(id),
-        2 => Op::Release(id),
-        3 => Op::Free(id),
-        4 => Op::FaultAll,
-        _ => Op::Recover(id),
-    }
-}
-
-/// The tracker never panics under arbitrary op sequences, its footprint
-/// stays bounded by live descriptors, and faulty counts never exceed
-/// tracked counts.
-#[test]
-fn tracker_is_robust_and_bounded() {
-    for case in 0..CASES {
-        let mut rng = SplitMix64::new(mix(0x3a17_0004, case));
-        let (sm, [alloc, take, release, free]) = lock_like();
-        let mut t = DescriptorTracker::new(DescriptorResourceModel::new());
-        let mut log = OperationLog::new();
-        for _ in 0..rng.gen_index(120) {
-            match op(&mut rng) {
-                Op::Create(id) => {
-                    let _ = t.create(DescId(id), alloc, 1, None);
-                    log.record(DescId(id), alloc, vec![]);
-                }
-                Op::Take(id) => {
-                    let _ = t.on_call(&sm, DescId(id), take);
-                    log.record(DescId(id), take, vec![]);
-                }
-                Op::Release(id) => {
-                    let _ = t.on_call(&sm, DescId(id), release);
-                    log.record(DescId(id), release, vec![]);
-                }
-                Op::Free(id) => {
-                    let _ = t.on_call(&sm, DescId(id), free);
-                    log.record(DescId(id), free, vec![]);
-                }
-                Op::FaultAll => t.mark_all_faulty(),
-                Op::Recover(id) => {
-                    let _ = t.mark_recovered(DescId(id));
-                }
-            }
-            assert!(t.faulty().count() <= t.len(), "case {case}");
-            // Bounded memory: at most 8 descriptors are ever live, so the
-            // footprint cannot scale with the number of operations.
-            assert!(t.footprint() <= 8 * 512, "case {case}");
-        }
-        // The rejected alternative grows with every operation.
-        assert!(log.len() <= 120, "case {case}");
-    }
-}
-
-/// Recovery order is always root-first: every descriptor appears after
-/// its parent.
-#[test]
-fn recovery_order_parents_first() {
-    for chain_len in 1usize..6 {
-        let (_, [alloc, ..]) = lock_like();
-        let model = DescriptorResourceModelBuilder::new()
-            .parent(superglue_sm::ParentPolicy::XcParent)
-            .build()
-            .unwrap();
-        let mut t = DescriptorTracker::new(model);
-        t.create(DescId(0), alloc, 1, Some(DescId(999))).unwrap();
-        for i in 1..chain_len as u64 {
-            t.create(DescId(i), alloc, 1, Some(DescId(i - 1))).unwrap();
-        }
-        let order = t.recovery_order(DescId(chain_len as u64 - 1));
-        for (i, d) in order.iter().enumerate() {
-            if i > 0 {
-                assert_eq!(order[i - 1].0 + 1, d.0, "chain order broken");
-            }
-        }
-        assert_eq!(order.len(), chain_len);
     }
 }

@@ -39,7 +39,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = superglue_idl::compile_interface("lock", LOCK_IDL)?;
     println!("interface `{}`:", spec.name);
     println!("  model: {:?}", spec.model);
-    println!("  mechanisms (SIII-C): {:?}", spec.model.mechanisms());
+    println!(
+        "  mechanisms (SIII-C): {:?}",
+        superglue_compiler::ModelPredicates::of(&spec).mechanisms()
+    );
     println!("  IDL size: {} LOC", superglue_idl::idl_loc(LOCK_IDL));
 
     // The state machine and its precomputed shortest recovery walks.
