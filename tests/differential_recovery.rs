@@ -305,3 +305,30 @@ fn counters_attribute_to_the_failed_component() {
         );
     }
 }
+
+/// The compiler's §III-C map covers what the runtime does: every
+/// mechanism the kernel counted on a component during one 25-injection
+/// SuperGlue campaign shard is in that interface's
+/// `ModelPredicates::mechanisms`. D0 is left out: the runtime counts it
+/// on every teardown, while §III-C's D0 is recursive revocation.
+#[test]
+fn campaign_mechanisms_are_in_the_models_map() {
+    let cfg = sg_swifi::CampaignConfig {
+        variant: Variant::SuperGlue,
+        injections: 25,
+        ..sg_swifi::CampaignConfig::default()
+    };
+    for (iface, src) in superglue::sources::idl_sources() {
+        let spec = superglue_idl::compile_interface(iface, src).expect("shipped IDL compiles");
+        let map = superglue_compiler::ModelPredicates::of(&spec).mechanisms();
+        let metrics = sg_swifi::run_shard(iface, &cfg, 0).metrics;
+        for m in paper_mechanisms().filter(|&m| m != Mechanism::D0) {
+            let fired = metrics.mechanism_count(iface, m);
+            assert!(
+                fired == 0 || map.contains(&m),
+                "{iface}: {} fired {fired} times but the map is {map:?}",
+                m.name()
+            );
+        }
+    }
+}
