@@ -223,12 +223,6 @@ impl KernelState {
         self.active_recoveries.len()
     }
 
-    /// How many recovery actions are in flight *on `c`* specifically.
-    #[must_use]
-    pub fn recovery_depth_of(&self, c: ComponentId) -> usize {
-        self.active_recoveries.iter().filter(|&&x| x == c).count()
-    }
-
     // ------------------------------------------------------------------
     // Copy-on-write mutation helpers (Arc::make_mut)
     // ------------------------------------------------------------------

@@ -4,7 +4,7 @@
 use std::fmt;
 
 use crate::error::{CallError, KernelError, ServiceError};
-use crate::ids::{ComponentId, Epoch, FrameId, Priority, ThreadId};
+use crate::ids::{ComponentId, Epoch, FrameId, ThreadId};
 use crate::kernel::Kernel;
 use crate::pages::VAddr;
 use crate::time::SimTime;
@@ -212,12 +212,6 @@ impl ServiceCtx<'_> {
         self.kernel.pages().mappers_of(frame).collect()
     }
 
-    /// Kernel reflection: a thread's fixed priority.
-    #[must_use]
-    pub fn thread_priority(&self, thread: ThreadId) -> Option<Priority> {
-        self.kernel.thread(thread).map(|t| t.priority).ok()
-    }
-
     /// Kernel reflection: threads currently blocked inside a component —
     /// what a recovering scheduler consults to rebuild its block list
     /// (§II-F: "recovering the thread scheduler … requires reflecting on
@@ -274,6 +268,7 @@ impl ServiceCtx<'_> {
 mod tests {
     use super::*;
     use crate::error::ServiceError;
+    use crate::ids::Priority;
 
     /// A trivial service used by kernel-level tests: `ping` returns its
     /// argument + 1; `block` blocks the caller; `wake` wakes a thread id.

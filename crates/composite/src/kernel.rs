@@ -346,11 +346,6 @@ impl Kernel {
         self.state.threads.len()
     }
 
-    /// All thread ids.
-    pub fn thread_ids(&self) -> impl Iterator<Item = ThreadId> + '_ {
-        (0..self.state.threads.len() as u32).map(ThreadId)
-    }
-
     /// Mark a thread blocked inside `component` (called via
     /// [`ServiceCtx::block_current`]).
     pub(crate) fn block_thread(&mut self, t: ThreadId, component: ComponentId) {
@@ -559,12 +554,6 @@ impl Kernel {
     #[must_use]
     pub fn recovery_depth(&self) -> usize {
         self.state.recovery_depth()
-    }
-
-    /// Whether any recovery action is in flight.
-    #[must_use]
-    pub fn recovery_active(&self) -> bool {
-        !self.state.active_recoveries.is_empty()
     }
 
     /// Arm a one-shot fault on `victim` that fires the moment the next

@@ -105,12 +105,6 @@ impl ChannelService {
         }
     }
 
-    /// Live endpoints (tests/reflection).
-    #[must_use]
-    pub fn endpoint_count(&self) -> usize {
-        self.endpoints.len()
-    }
-
     fn fetch(&self, ctx: &mut ServiceCtx<'_>, key: Value) -> Option<Bytes> {
         match ctx.invoke(self.storage, "st_fetch", &[key]) {
             Ok(Value::Bytes(b)) => Some(b),

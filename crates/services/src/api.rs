@@ -269,25 +269,6 @@ pub mod tmr {
             .map(|_| ())
     }
 
-    /// Change the period (re-arms relative to now).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CallError`].
-    pub fn set_period<C: InterfaceCall>(
-        ctx: &mut C,
-        end: &ClientEnd,
-        desc: i64,
-        period_ns: i64,
-    ) -> Result<(), CallError> {
-        end.call(
-            ctx,
-            "tmr_period",
-            &[end.compid(), Value::Int(desc), Value::Int(period_ns)],
-        )
-        .map(|_| ())
-    }
-
     /// Destroy the timer.
     ///
     /// # Errors

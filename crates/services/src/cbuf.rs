@@ -31,12 +31,6 @@ impl CbufService {
         Self::default()
     }
 
-    /// Number of live buffers.
-    #[must_use]
-    pub fn buf_count(&self) -> usize {
-        self.bufs.len()
-    }
-
     /// Direct read-only view of a buffer (the in-process path used by
     /// consumers like the storage service).
     #[must_use]

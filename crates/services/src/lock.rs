@@ -34,18 +34,6 @@ impl LockService {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Number of live locks (tests/reflection).
-    #[must_use]
-    pub fn lock_count(&self) -> usize {
-        self.locks.len()
-    }
-
-    /// The owner of a lock, if taken (tests/reflection).
-    #[must_use]
-    pub fn owner_of(&self, lockid: i64) -> Option<ThreadId> {
-        self.locks.get(&lockid).and_then(|l| l.owner)
-    }
 }
 
 impl Service for LockService {

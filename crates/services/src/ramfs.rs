@@ -75,18 +75,6 @@ impl RamFs {
         );
     }
 
-    /// Number of open descriptors, root included (tests/reflection).
-    #[must_use]
-    pub fn fd_count(&self) -> usize {
-        self.fds.len()
-    }
-
-    /// Number of in-memory files (tests/reflection).
-    #[must_use]
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
     /// Load a file's contents from the storage component if RamFS lost
     /// them (post-reboot). Returns whether the file is now present.
     fn ensure_loaded(&mut self, ctx: &mut ServiceCtx<'_>, path: &str) -> bool {

@@ -49,12 +49,6 @@ impl Scheduler {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Number of registered thread records (for tests/reflection).
-    #[must_use]
-    pub fn record_count(&self) -> usize {
-        self.records.len()
-    }
 }
 
 impl Service for Scheduler {

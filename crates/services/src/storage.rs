@@ -93,12 +93,6 @@ impl StorageService {
     pub fn blob_count(&self) -> usize {
         self.data.len()
     }
-
-    /// Number of global-descriptor records (tests/reflection).
-    #[must_use]
-    pub fn record_count(&self) -> usize {
-        self.descs.values().map(IdSlab::len).sum()
-    }
 }
 
 impl Service for StorageService {

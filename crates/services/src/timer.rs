@@ -39,12 +39,6 @@ impl TimerService {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Number of live timers (tests/reflection).
-    #[must_use]
-    pub fn timer_count(&self) -> usize {
-        self.timers.len()
-    }
 }
 
 impl Service for TimerService {

@@ -22,17 +22,6 @@ pub struct IdlFile {
     pub functions: Vec<FnDecl>,
 }
 
-impl IdlFile {
-    /// The source span of the first `sm_*` declaration matching `pred`.
-    #[must_use]
-    pub fn sm_span_where(&self, pred: impl FnMut(&SmDecl) -> bool) -> Option<Span> {
-        self.sm_decls
-            .iter()
-            .position(pred)
-            .and_then(|i| self.sm_spans.get(i).copied())
-    }
-}
-
 /// Value of a `service_global_info` entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GlobalValue {

@@ -203,12 +203,6 @@ impl StateMachine {
             .ok_or(Error::InvalidTransition { state, via })
     }
 
-    /// True when σ has an edge from `state` via `via`.
-    #[must_use]
-    pub fn can_step(&self, state: State, via: FnId) -> bool {
-        self.transitions.contains_key(&(state, via))
-    }
-
     /// All `(source, fn, target)` edges of σ, in deterministic order.
     pub fn edges(&self) -> impl Iterator<Item = (State, FnId, State)> + '_ {
         self.transitions.iter().map(|(&(s, f), &t)| (s, f, t))
@@ -226,16 +220,6 @@ impl StateMachine {
     /// for all `After` states; only queryable states can fail here).
     pub fn recovery_walk(&self, expected: State) -> Result<Vec<FnId>> {
         self.walks.walk_to(expected)
-    }
-
-    /// Number of functions replayed to recover a descriptor in `expected`
-    /// state; a proxy for the per-descriptor recovery cost of Fig 6(b).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`StateMachine::recovery_walk`].
-    pub fn recovery_walk_len(&self, expected: State) -> Result<usize> {
-        Ok(self.walks.walk_to(expected)?.len())
     }
 }
 
