@@ -491,7 +491,7 @@ pub struct CampaignResult {
 
 /// Run one shard of the campaign against `iface`.
 ///
-/// The shard's injector stream is seeded `mix(seed ^ fxhash(iface),
+/// The shard's injector stream is seeded `mix(seed ^ seed_salt(iface),
 /// shard)` — the `hash(campaign_seed, shard_index)` derivation — so the
 /// shard never observes which worker ran it or what ran before it.
 ///
@@ -510,8 +510,10 @@ pub fn run_shard(iface: &'static str, cfg: &CampaignConfig, shard: usize) -> Cam
     let mut series = SeriesSnapshot::default();
     let vname = cfg.variant.slug();
     let mut trace = TraceShard::labeled(&format!("table2/{iface}/{vname}/shard{shard}"));
-    let mut injector =
-        Injector::with_mask(mix(cfg.seed ^ fxhash(iface), shard as u64), cfg.fault_mask);
+    let mut injector = Injector::with_mask(
+        mix(cfg.seed ^ seed_salt(iface), shard as u64),
+        cfg.fault_mask,
+    );
 
     'reboot: while row.injected < quota {
         // (Re)boot the machine: fresh system + workloads.
@@ -775,7 +777,14 @@ pub fn run_campaign(iface: &'static str, cfg: &CampaignConfig) -> CampaignRow {
     run_campaign_parallel(iface, cfg, 1).row
 }
 
-fn fxhash(s: &str) -> u64 {
+/// The salt a campaign mixes into its seed for one interface (the shard
+/// injector streams) or one pipeline phase (the trigger points).
+///
+/// It is FNV-1a's offset basis and loop with the multiplier
+/// `0x1000_0000_01b3`, not FNV's prime `0x100_0000_01b3` that
+/// [`composite::fnv1a`] uses. Every campaign seed derives from it, so
+/// switching to `fnv1a` would change every campaign byte.
+pub(crate) fn seed_salt(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.bytes() {
         h ^= u64::from(b);

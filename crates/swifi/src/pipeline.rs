@@ -33,6 +33,7 @@ use composite::{
 };
 use sg_pipeline::{build_pipeline, expected_output, PipelineConfig, PipelineVariant};
 
+use crate::campaign::seed_salt;
 use crate::outcome::{CampaignRow, Outcome};
 
 /// The injection window a pipeline campaign phase targets.
@@ -242,7 +243,7 @@ fn run_phase_unit(phase: PipelinePhase, cfg: &PipelineCampaignConfig, rep: u64) 
     // Alternate the target between the two channels; land the trigger
     // somewhere in the first half of the stream, varied per repetition.
     let target = bed.rotation()[(rep % 2) as usize];
-    let phase_salt = fxhash(phase.label());
+    let phase_salt = seed_salt(phase.label());
     let trigger = 1 + mix(cfg.seed ^ phase_salt, rep) % (pcfg.jobs / 2).max(1);
     let output = bed.output.clone();
     let mut ctx = PipelineCtx {
@@ -425,15 +426,6 @@ pub fn run_pipeline_campaign_parallel(
 #[must_use]
 pub fn run_pipeline_campaign(cfg: &PipelineCampaignConfig) -> PipelineCampaignResult {
     run_pipeline_campaign_parallel(cfg, 1)
-}
-
-fn fxhash(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
